@@ -3,14 +3,14 @@
 //
 // Two claims, two workloads, one gate line each:
 //
-//  A. Routed exact is never slower than the legacy path beyond noise.
+//  A. Routed exact is never slower than the forced tree beyond noise.
 //     Uniform d=16, n=100k, eps=0.1 (a regime the flat tree wins): the
-//     same closed-loop poll-multiplexed driver runs legacy (plannerless)
-//     frames and planner frames (recall=1, backend=auto) against one
+//     same closed-loop poll-multiplexed driver runs frames forcing
+//     ekdb-flat and planner frames (recall=1, backend=auto) against one
 //     server; the planner must land on an exact backend, answer
 //     bit-identically to forced ekdb-flat, and keep qps_routed within a
-//     few percent of qps_legacy (the plan cache amortises probing to a
-//     map lookup per request).
+//     few percent of qps_forced_tree (the plan cache amortises probing to
+//     a map lookup per request).
 //
 //  B. At high dimensionality and a large radius, recall 0.9 buys >= 3x.
 //     Clustered d=32, n=50k, eps=0.5 (bbox pruning is useless here, so
@@ -74,9 +74,9 @@ struct DriverConn {
   uint64_t errors = 0;
 };
 
+/// Every driver request carries the planner tag with these fields.
 struct RequestShape {
   double epsilon = 0.0;
-  bool has_planner = false;
   double recall = 1.0;
   uint8_t backend = kWireBackendAuto;
 };
@@ -95,15 +95,19 @@ void BuildRequestFrame(const Dataset& data, const std::string& name,
   req.dims = static_cast<uint32_t>(data.dims());
   const float* row = data.Row(static_cast<PointId>(conn->cursor));
   req.queries.assign(row, row + data.dims());
-  req.has_planner = shape.has_planner;
+  req.has_planner = true;
   req.recall = shape.recall;
   req.backend = shape.backend;
   conn->cursor = (conn->cursor + 1) % data.size();
+  const std::vector<uint8_t> payload = EncodeRangeQueryRequest(req);
   conn->out = EncodeFrame(FrameType::kRangeQuery, conn->next_id++, 0,
-                          EncodeRangeQueryRequest(req));
-  // The planner extension (recall f64 + backend u8) trails the floats.
-  conn->float_tail_offset =
-      data.dims() * sizeof(float) + (shape.has_planner ? 9 : 0);
+                          payload);
+  // The tags trail the floats; their size is whatever the untagged
+  // encoding lacks.
+  RangeQueryRequest untagged = req;
+  untagged.has_planner = false;
+  conn->float_tail_offset = data.dims() * sizeof(float) + payload.size() -
+                            EncodeRangeQueryRequest(untagged).size();
   conn->out_off = 0;
 }
 
@@ -224,7 +228,8 @@ Result<std::pair<PhaseResult, PhaseResult>> RunAlternating(
 }
 
 /// Routed-auto answers must be bit-identical to forced ekdb-flat answers
-/// (both canonical ascending order) and to the sorted legacy answers.
+/// and to the answers of requests without the planner tag (all in
+/// ascending id order).
 Result<bool> ExactIdentityCheck(uint16_t port, const Dataset& data,
                                 const std::string& name, double epsilon,
                                 size_t num_queries, uint8_t* routed_to) {
@@ -251,9 +256,8 @@ Result<bool> ExactIdentityCheck(uint16_t port, const Dataset& data,
     *routed_to = got.backend_used;
     if (got.results != want.results) return false;
 
-    SIMJOIN_ASSIGN_OR_RETURN(auto legacy, client.RangeQuery(req));
-    std::sort(legacy.results[0].begin(), legacy.results[0].end());
-    if (legacy.results != want.results) return false;
+    SIMJOIN_ASSIGN_OR_RETURN(auto untagged, client.RangeQuery(req));
+    if (untagged.results != want.results) return false;
   }
   return true;
 }
@@ -370,21 +374,22 @@ int Run(const ArgParser& args) {
             << (routed_kind.ok() ? BackendKindName(*routed_kind) : "?")
             << "\n";
 
-  RequestShape legacy_shape{eps_a, false, 1.0, kWireBackendAuto};
-  RequestShape routed_shape{eps_a, true, 1.0, kWireBackendAuto};
+  RequestShape tree_shape{eps_a, 1.0,
+                          static_cast<uint8_t>(BackendKind::kEkdbFlat)};
+  RequestShape routed_shape{eps_a, 1.0, kWireBackendAuto};
   auto exact_phases =
-      RunAlternating((*server_a)->port(), *data_a, "exact", legacy_shape,
+      RunAlternating((*server_a)->port(), *data_a, "exact", tree_shape,
                      routed_shape, concurrency, warmup, seconds, repeats,
-                     "legacy", "routed");
+                     "forced-tree", "routed");
   if (!exact_phases.ok()) {
     std::cerr << exact_phases.status().ToString() << "\n";
     return 1;
   }
-  const PhaseResult& legacy = exact_phases->first;
+  const PhaseResult& forced_tree = exact_phases->first;
   const PhaseResult& routed = exact_phases->second;
   const double exact_ratio =
-      legacy.qps > 0.0 ? routed.qps / legacy.qps : 0.0;
-  std::cout << "  legacy " << static_cast<uint64_t>(legacy.qps)
+      forced_tree.qps > 0.0 ? routed.qps / forced_tree.qps : 0.0;
+  std::cout << "  forced-tree " << static_cast<uint64_t>(forced_tree.qps)
             << " qps vs routed " << static_cast<uint64_t>(routed.qps)
             << " qps -> ratio " << exact_ratio << "\n";
   (*server_a)->Shutdown();
@@ -424,9 +429,9 @@ int Run(const ArgParser& args) {
             << (recall_kind.ok() ? BackendKindName(*recall_kind) : "?")
             << "\n";
 
-  RequestShape forced_exact{eps_b, true, 1.0,
+  RequestShape forced_exact{eps_b, 1.0,
                             static_cast<uint8_t>(BackendKind::kEkdbFlat)};
-  RequestShape recall_shape{eps_b, true, recall_target, kWireBackendAuto};
+  RequestShape recall_shape{eps_b, recall_target, kWireBackendAuto};
   auto recall_phases =
       RunAlternating((*server_b)->port(), *data_b, "recall", forced_exact,
                      recall_shape, concurrency, warmup, seconds, repeats,
@@ -445,13 +450,13 @@ int Run(const ArgParser& args) {
   (*server_b)->Wait();
 
   const uint64_t errors =
-      legacy.errors + routed.errors + forced.errors + tiered.errors;
+      forced_tree.errors + routed.errors + forced.errors + tiered.errors;
   std::ostringstream json;
   json << "{\"bench\":\"r22_planner\",\"concurrency\":" << concurrency
        << ",\"seconds\":" << seconds
        << ",\"n_exact\":" << n_a << ",\"dims_exact\":" << dims_a
        << ",\"epsilon_exact\":" << eps_a
-       << ",\"qps_legacy\":" << legacy.qps
+       << ",\"qps_forced_tree\":" << forced_tree.qps
        << ",\"qps_routed\":" << routed.qps
        << ",\"exact_ratio\":" << exact_ratio
        << ",\"identical\":" << (*identical ? "true" : "false")

@@ -56,10 +56,11 @@
 #
 # The R22 run gates the cost-based backend planner: planner-routed exact
 # answers must be bit-identical to forced ekdb-flat (the bench exits
-# nonzero otherwise), routed-exact QPS must stay within
-# SIMJOIN_BENCH_PLANNER_EXACT_TOLERANCE (default 0.05) of the legacy path,
-# the recall-0.9 route must deliver at least
-# SIMJOIN_BENCH_PLANNER_MIN_SPEEDUP (default 3.0) times the forced-exact
+# nonzero otherwise), routed-exact QPS (qps_routed) must stay within
+# SIMJOIN_BENCH_PLANNER_EXACT_TOLERANCE (default 0.05) of requests forcing
+# the ekdb-flat tree (qps_forced_tree), the recall-0.9 route must deliver
+# at least SIMJOIN_BENCH_PLANNER_MIN_SPEEDUP (default 3.0) times the
+# forced-exact
 # QPS on the high-d clustered workload, and its measured recall must clear
 # the target minus a 0.05 sampling allowance.
 #

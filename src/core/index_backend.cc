@@ -28,8 +28,6 @@ Result<BackendKind> BackendKindFromWire(uint8_t value) {
       return BackendKind::kLsh;
     case 3:
       return BackendKind::kBruteSimd;
-    case 4:
-      return BackendKind::kRTree;
     case 5:
       return BackendKind::kUpdatable;
     default:
@@ -48,8 +46,6 @@ const char* BackendKindName(BackendKind kind) {
       return "lsh";
     case BackendKind::kBruteSimd:
       return "brute-simd";
-    case BackendKind::kRTree:
-      return "rtree";
     case BackendKind::kUpdatable:
       return "updatable";
   }

@@ -18,9 +18,9 @@
 //
 // Every exact backend answers the same query with the same id *set*; the
 // emission *order* is backend-specific (tree traversal order, grid cell
-// order, ascending dataset order).  Planner-routed responses are therefore
-// canonicalised (sorted ascending) by the service so the answer bytes do
-// not depend on which exact backend the planner picked.
+// order, ascending dataset order).  Service responses are therefore
+// canonicalised (sorted ascending) so the answer bytes do not depend on
+// which exact backend the planner picked.
 
 #ifndef SIMJOIN_CORE_INDEX_BACKEND_H_
 #define SIMJOIN_CORE_INDEX_BACKEND_H_
@@ -46,11 +46,11 @@ enum class BackendKind : uint8_t {
   kEpsilonGrid = 1,  ///< uniform epsilon-cell grid (dense low-d fast path)
   kLsh = 2,          ///< p-stable LSH candidates + exact SIMD verification
   kBruteSimd = 3,    ///< strided SIMD scan of the whole dataset
-  kRTree = 4,        ///< bulk-loaded R-tree (src/rtree), exact range search
+  // 4 was the retired R-tree serving backend; never reuse it.
   kUpdatable = 5,    ///< LSM-style delta memtable + flat snapshot (updatable)
 };
 
-/// Number of distinct BackendKind values (for fixed-size per-kind tables).
+/// One past the largest BackendKind value (for fixed-size per-kind tables).
 inline constexpr size_t kNumBackendKinds = 6;
 
 /// Wire byte in the RangeQuery planner extension meaning "no forced

@@ -19,7 +19,7 @@
 //
 // A RequestProfile is the finished, serialisable result: a bounded flat
 // node tree plus named counters and the planner's decision.  The service
-// ships it over the wire as the EXPLAIN ANALYZE response extension and
+// ships it over the wire as the EXPLAIN ANALYZE response's kProfile tag and
 // into the slow-query log (obs/slow_query_log.h).
 
 #ifndef SIMJOIN_OBS_REQUEST_CONTEXT_H_

@@ -3,10 +3,10 @@
 //
 // The service records one SlowQueryEntry for every request that either
 // exceeded the configured latency threshold or failed — carrying the same
-// RequestProfile the EXPLAIN ANALYZE extension ships, so a slow request
+// RequestProfile the EXPLAIN ANALYZE response ships, so a slow request
 // leaves behind the phase breakdown that explains *why* it was slow, not
-// just that it was.  The ring is drainable over the wire (Stats RPC
-// extension, `simjoin_client slowlog`); the JSONL sink makes entries
+// just that it was.  The ring is drainable over the wire (the Stats RPC's
+// kSlowlog tag, `simjoin_client slowlog`); the JSONL sink makes entries
 // survive the process.
 //
 // The sink is rotation-safe: each write opens the path in append mode and

@@ -10,8 +10,7 @@ namespace {
 
 /// Ensures an encoded request carries a trace context: when the caller did
 /// not set one, a generated id is appended.  Appending after encoding is
-/// sound because the trace suffix is defined as the final bytes of every
-/// request payload that supports it.
+/// sound because tags are always the tail of a payload.
 std::vector<uint8_t> WithTrace(const TraceContext& trace,
                                std::vector<uint8_t> payload) {
   if (!trace.present) {

@@ -45,9 +45,9 @@ struct ClientConfig {
 /// Blocking, single-connection service client.  Not thread-safe: wrap in a
 /// mutex or give each thread its own Client (connections are cheap).
 ///
-/// Every request that supports the trace-context extension leaves the
-/// client with one attached: the caller's (request.trace) when set, a
-/// freshly generated trace id otherwise — so server-side spans, slow-query
+/// Every request type that takes the kTrace tag leaves the client with one
+/// attached: the caller's (request.trace) when set, a freshly generated
+/// trace id otherwise — so server-side spans, slow-query
 /// entries, and EXPLAIN ANALYZE profiles always correlate back to a
 /// client-visible id.  Set request.trace.flags |= kTraceFlagProfile to get
 /// the phase tree back in the response (docs/observability.md).

@@ -1,8 +1,11 @@
 #include "service/protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <random>
 
 #include "common/logging.h"
@@ -132,6 +135,22 @@ void WireWriter::FloatArray(std::span<const float> values) {
   }
 }
 
+size_t WireWriter::BeginTag(uint8_t tag) {
+  U8(tag);
+  const size_t mark = buf_.size();
+  U32(0);  // patched by EndTag
+  return mark;
+}
+
+void WireWriter::EndTag(size_t mark) {
+  // A value past u32 would also overflow the frame's payload size field,
+  // which EncodeFrame CHECKs.
+  const size_t len = buf_.size() - mark - 4;
+  for (int i = 0; i < 4; ++i) {
+    buf_[mark + i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+}
+
 // --------------------------------------------------------------------------
 // WireReader
 // --------------------------------------------------------------------------
@@ -224,6 +243,13 @@ Status WireReader::FloatArray(size_t count, std::vector<float>* out) {
     }
   }
   pos_ += count * 4;
+  return Status::OK();
+}
+
+Status WireReader::Bytes(size_t len, std::span<const uint8_t>* out) {
+  SIMJOIN_RETURN_NOT_OK(Need(len));
+  *out = data_.subspan(pos_, len);
+  pos_ += len;
   return Status::OK();
 }
 
@@ -364,7 +390,7 @@ Status ParseJoinStats(WireReader* r, JoinStats* out) {
 }
 
 // --------------------------------------------------------------------------
-// Trace-context extension
+// Tags
 // --------------------------------------------------------------------------
 
 uint64_t GenerateTraceId() {
@@ -387,26 +413,91 @@ uint64_t GenerateTraceId() {
 
 namespace {
 
-/// Appends the trace suffix to a request payload under construction.
-void EncodeTraceContext(const TraceContext& ctx, WireWriter* w) {
-  if (!ctx.present) return;
-  w->U64(ctx.trace_id);
-  w->U8(ctx.flags);
-  w->U8(kWireTraceMagic);
+/// Values of the tags one message knows, indexed by tag number.
+struct TagValues {
+  std::array<std::optional<std::span<const uint8_t>>,
+             static_cast<size_t>(WireTag::kSlowlog) + 1>
+      values;
+
+  std::optional<std::span<const uint8_t>> Get(WireTag tag) const {
+    return values[static_cast<size_t>(tag)];
+  }
+};
+
+/// The one tag walker: reads entries from the cursor to the end of the
+/// payload.  Tags outside `known` are skipped; a known tag seen twice is
+/// InvalidArgument; a truncated entry or a len past the payload end is
+/// OutOfRange.
+Status ReadTags(WireReader* r, std::initializer_list<WireTag> known,
+                TagValues* out) {
+  while (r->remaining() > 0) {
+    uint8_t tag = 0;
+    uint32_t len = 0;
+    SIMJOIN_RETURN_NOT_OK(r->U8(&tag));
+    SIMJOIN_RETURN_NOT_OK(r->U32(&len));
+    std::span<const uint8_t> value;
+    SIMJOIN_RETURN_NOT_OK(r->Bytes(len, &value));
+    if (std::find(known.begin(), known.end(), static_cast<WireTag>(tag)) ==
+        known.end()) {
+      continue;
+    }
+    auto& slot = out->values[tag];
+    if (slot.has_value()) {
+      return Status::InvalidArgument("duplicate tag " + std::to_string(tag));
+    }
+    slot = value;
+  }
+  return Status::OK();
 }
 
-/// Consumes the kWireTraceExtBytes suffix the caller has size-detected at
-/// the cursor, validating the trailing magic byte.
-Status ParseTraceSuffix(WireReader* r, TraceContext* out) {
-  SIMJOIN_RETURN_NOT_OK(r->U64(&out->trace_id));
-  SIMJOIN_RETURN_NOT_OK(r->U8(&out->flags));
-  uint8_t magic = 0;
-  SIMJOIN_RETURN_NOT_OK(r->U8(&magic));
-  if (magic != kWireTraceMagic) {
-    return Status::InvalidArgument("trace-context suffix magic mismatch");
+/// Parses the value of `tag` when present, setting *present.  `parse`
+/// reads from a cursor over exactly the value bytes and must consume all of
+/// them; any failure is a malformed value (InvalidArgument), which covers a
+/// value of the wrong length.
+template <typename Parse>
+Status ParseTag(const TagValues& tags, WireTag tag, bool* present,
+                Parse parse) {
+  const auto value = tags.Get(tag);
+  *present = value.has_value();
+  if (!*present) return Status::OK();
+  WireReader v(*value);
+  Status st = parse(&v);
+  if (st.ok()) st = v.ExpectEnd();
+  if (!st.ok()) {
+    return Status::InvalidArgument(
+        "malformed tag " + std::to_string(static_cast<int>(tag)) +
+        " value: " + st.message());
   }
-  out->present = true;
   return Status::OK();
+}
+
+/// Walks the tag list of a message that knows no tags.
+Status SkipTags(WireReader* r) {
+  TagValues tags;
+  return ReadTags(r, {}, &tags);
+}
+
+void EncodeTraceTag(const TraceContext& ctx, WireWriter* w) {
+  if (!ctx.present) return;
+  const size_t mark = w->BeginTag(static_cast<uint8_t>(WireTag::kTrace));
+  w->U64(ctx.trace_id);
+  w->U8(ctx.flags);
+  w->EndTag(mark);
+}
+
+Status ParseTraceTag(const TagValues& tags, TraceContext* out) {
+  *out = TraceContext{};
+  return ParseTag(tags, WireTag::kTrace, &out->present, [&](WireReader* v) {
+    SIMJOIN_RETURN_NOT_OK(v->U64(&out->trace_id));
+    return v->U8(&out->flags);
+  });
+}
+
+/// Walks the tag list of a request whose only tag is kTrace.
+Status ParseTraceTags(WireReader* r, TraceContext* out) {
+  TagValues tags;
+  SIMJOIN_RETURN_NOT_OK(ReadTags(r, {WireTag::kTrace}, &tags));
+  return ParseTraceTag(tags, out);
 }
 
 }  // namespace
@@ -415,7 +506,7 @@ void AppendTraceContext(const TraceContext& ctx,
                         std::vector<uint8_t>* payload) {
   if (!ctx.present) return;
   WireWriter w;
-  EncodeTraceContext(ctx, &w);
+  EncodeTraceTag(ctx, &w);
   payload->insert(payload->end(), w.buffer().begin(), w.buffer().end());
 }
 
@@ -438,16 +529,9 @@ std::vector<uint8_t> EncodeBuildIndexRequest(const BuildIndexRequest& req) {
   w.U32(req.dims == 0 ? 0
                       : static_cast<uint32_t>(req.points.size() / req.dims));
   w.FloatArray(req.points);
-  // Trailing extension bytes: [backend] or [backend, on_disk].  The
-  // on_disk byte requires the backend byte before it so the parser can
-  // distinguish the tails by remaining() % 4.
-  if (req.on_disk) {
-    w.U8(static_cast<uint8_t>(req.backend));
-    w.U8(1);
-  } else if (req.backend != BackendKind::kEkdbFlat) {
-    w.U8(static_cast<uint8_t>(req.backend));
-  }
-  EncodeTraceContext(req.trace, &w);
+  w.U8(static_cast<uint8_t>(req.backend));
+  w.U8(req.on_disk ? 1 : 0);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -490,49 +574,14 @@ Status ParseBuildIndexRequest(std::span<const uint8_t> payload,
   if (out->dims == 0) {
     return Status::InvalidArgument("BuildIndex dims must be positive");
   }
-  // The float payload must match n * dims exactly, modulo the optional
-  // trailing extensions appended by newer clients: backend byte, backend +
-  // on_disk bytes, each optionally followed by the trace-context suffix.
-  // The surplus candidates are distinct values of (remaining - 4 * want),
-  // so at most one matches; dividing instead of multiplying `want` keeps
-  // the arithmetic overflow-safe against hostile n / dims fields.
-  const uint64_t want = static_cast<uint64_t>(n) * out->dims;
-  size_t surplus = SIZE_MAX;
-  for (const size_t s :
-       {size_t{0}, size_t{1}, size_t{2}, kWireTraceExtBytes,
-        kWireTraceExtBytes + 1, kWireTraceExtBytes + 2}) {
-    if (r.remaining() >= s && (r.remaining() - s) % 4 == 0 &&
-        (r.remaining() - s) / 4 == want) {
-      surplus = s;
-      break;
-    }
-  }
-  if (surplus == SIZE_MAX) {
-    return Status::InvalidArgument(
-        "BuildIndex point payload mismatch: header says " +
-        std::to_string(want) + " floats, payload holds " +
-        std::to_string(r.remaining()) + " bytes");
-  }
-  SIMJOIN_RETURN_NOT_OK(r.FloatArray(want, &out->points));
-  out->backend = BackendKind::kEkdbFlat;
-  out->on_disk = false;
-  out->trace = TraceContext{};
-  const bool has_trace = surplus >= kWireTraceExtBytes;
-  const size_t trailing = has_trace ? surplus - kWireTraceExtBytes : surplus;
-  if (trailing >= 1) {
-    uint8_t backend_byte = 0;
-    SIMJOIN_RETURN_NOT_OK(r.U8(&backend_byte));
-    SIMJOIN_ASSIGN_OR_RETURN(out->backend, BackendKindFromWire(backend_byte));
-  }
-  if (trailing == 2) {
-    uint8_t on_disk_byte = 0;
-    SIMJOIN_RETURN_NOT_OK(r.U8(&on_disk_byte));
-    out->on_disk = on_disk_byte != 0;
-  }
-  if (has_trace) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  SIMJOIN_RETURN_NOT_OK(
+      r.FloatArray(static_cast<uint64_t>(n) * out->dims, &out->points));
+  uint8_t backend_byte = 0, on_disk_byte = 0;
+  SIMJOIN_RETURN_NOT_OK(r.U8(&backend_byte));
+  SIMJOIN_ASSIGN_OR_RETURN(out->backend, BackendKindFromWire(backend_byte));
+  SIMJOIN_RETURN_NOT_OK(r.U8(&on_disk_byte));
+  out->on_disk = on_disk_byte != 0;
+  return ParseTraceTags(&r, &out->trace);
 }
 
 std::vector<uint8_t> EncodeBuildIndexResponse(const BuildIndexResponse& resp) {
@@ -555,16 +604,12 @@ Status ParseBuildIndexResponse(std::span<const uint8_t> payload,
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->registry_bytes));
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->evicted));
   SIMJOIN_RETURN_NOT_OK(r.F64(&out->build_seconds));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 // --------------------------------------------------------------------------
 // RangeQuery
 // --------------------------------------------------------------------------
-
-// Trailing planner-extension sizes (see the struct docs in protocol.h).
-constexpr size_t kRangeQueryPlannerExtBytes = 9;    // recall f64 + backend u8
-constexpr size_t kRangeResponsePlannerExtBytes = 10;  // f64 + u8 + u8
 
 std::vector<uint8_t> EncodeRangeQueryRequest(const RangeQueryRequest& req) {
   WireWriter w;
@@ -575,10 +620,12 @@ std::vector<uint8_t> EncodeRangeQueryRequest(const RangeQueryRequest& req) {
                       : static_cast<uint32_t>(req.queries.size() / req.dims));
   w.FloatArray(req.queries);
   if (req.has_planner) {
+    const size_t mark = w.BeginTag(static_cast<uint8_t>(WireTag::kPlanner));
     w.F64(req.recall);
     w.U8(req.backend);
+    w.EndTag(mark);
   }
-  EncodeTraceContext(req.trace, &w);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -596,47 +643,21 @@ Status ParseRangeQueryRequest(std::span<const uint8_t> payload,
   if (count == 0) {
     return Status::InvalidArgument("RangeQuery needs at least one query");
   }
-  // The query count is explicit, so the float block's size is known and
-  // any surplus must be exactly the planner extension, the trace suffix,
-  // or both — the sizes {0, 9, 10, 19} are pairwise distinct, so the tail
-  // shape is unambiguous; anything else is a framing error.  Semantic
-  // checks (recall range, known backend byte) belong to the server so a
-  // kError response can name the field.  Dividing remaining() instead of
-  // multiplying `want` keeps hostile count / dims fields overflow-safe.
-  const uint64_t want = static_cast<uint64_t>(count) * out->dims;
-  const size_t surplus =
-      want <= r.remaining() / 4
-          ? r.remaining() - static_cast<size_t>(want) * 4
-          : SIZE_MAX;
-  bool has_trace = false;
-  if (surplus == 0) {
-    out->has_planner = false;
-  } else if (surplus == kRangeQueryPlannerExtBytes) {
-    out->has_planner = true;
-  } else if (surplus == kWireTraceExtBytes) {
-    out->has_planner = false;
-    has_trace = true;
-  } else if (surplus == kRangeQueryPlannerExtBytes + kWireTraceExtBytes) {
-    out->has_planner = true;
-    has_trace = true;
-  } else {
-    return Status::InvalidArgument(
-        "RangeQuery payload mismatch: header says " + std::to_string(want) +
-        " floats, payload holds " + std::to_string(r.remaining()) + " bytes");
-  }
-  SIMJOIN_RETURN_NOT_OK(r.FloatArray(want, &out->queries));
-  if (out->has_planner) {
-    SIMJOIN_RETURN_NOT_OK(r.F64(&out->recall));
-    SIMJOIN_RETURN_NOT_OK(r.U8(&out->backend));
-  } else {
-    out->recall = 1.0;
-    out->backend = kWireBackendAuto;
-  }
-  out->trace = TraceContext{};
-  if (has_trace) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  SIMJOIN_RETURN_NOT_OK(
+      r.FloatArray(static_cast<uint64_t>(count) * out->dims, &out->queries));
+  // Semantic checks (recall range, known backend byte) belong to the
+  // server so a kError response can name the field.
+  TagValues tags;
+  SIMJOIN_RETURN_NOT_OK(
+      ReadTags(&r, {WireTag::kTrace, WireTag::kPlanner}, &tags));
+  out->recall = 1.0;
+  out->backend = kWireBackendAuto;
+  SIMJOIN_RETURN_NOT_OK(ParseTag(tags, WireTag::kPlanner, &out->has_planner,
+                                 [&](WireReader* v) {
+                                   SIMJOIN_RETURN_NOT_OK(v->F64(&out->recall));
+                                   return v->U8(&out->backend);
+                                 }));
+  return ParseTraceTag(tags, &out->trace);
 }
 
 std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp) {
@@ -648,15 +669,16 @@ std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp) {
   }
   EncodeJoinStats(resp.stats, &w);
   if (resp.has_planner) {
+    const size_t mark = w.BeginTag(static_cast<uint8_t>(WireTag::kPlanner));
     w.F64(resp.achieved_recall);
     w.U8(resp.backend_used);
     w.U8(resp.plan_cache_hit ? 1 : 0);
+    w.EndTag(mark);
   }
   if (resp.has_profile) {
-    const size_t profile_start = w.buffer().size();
+    const size_t mark = w.BeginTag(static_cast<uint8_t>(WireTag::kProfile));
     EncodeRequestProfile(resp.profile, &w);
-    w.U32(static_cast<uint32_t>(w.buffer().size() - profile_start));
-    w.U8(kWireProfileMagic);
+    w.EndTag(mark);
   }
   return w.Take();
 }
@@ -683,56 +705,26 @@ Status ParseRangeQueryResponse(std::span<const uint8_t> payload,
     }
   }
   SIMJOIN_RETURN_NOT_OK(ParseJoinStats(&r, &out->stats));
-  // Extension region: what remains after the stats is [planner ext?]
-  // [profile ext?].  The profile is detected from the payload *tail*
-  // (trailing magic byte + the u32 length before it); the planner
-  // extension's final byte is a 0/1 cache-hit flag, never the magic, so a
-  // trailing 'P' can only mean a profile block.
-  size_t profile_total = 0;  // bytes of [profile][len:u32][magic]
-  if (r.remaining() >= kWireProfileFrameBytes &&
-      payload[payload.size() - 1] == kWireProfileMagic) {
-    const size_t len_off = payload.size() - kWireProfileFrameBytes;
-    const uint32_t profile_len =
-        static_cast<uint32_t>(payload[len_off]) |
-        (static_cast<uint32_t>(payload[len_off + 1]) << 8) |
-        (static_cast<uint32_t>(payload[len_off + 2]) << 16) |
-        (static_cast<uint32_t>(payload[len_off + 3]) << 24);
-    profile_total = static_cast<size_t>(profile_len) + kWireProfileFrameBytes;
-    if (profile_total > r.remaining()) {
-      return Status::InvalidArgument(
-          "profile extension length exceeds payload");
-    }
-  }
-  const size_t rest = r.remaining() - profile_total;
-  out->has_planner = rest == kRangeResponsePlannerExtBytes;
-  if (out->has_planner) {
-    SIMJOIN_RETURN_NOT_OK(r.F64(&out->achieved_recall));
-    SIMJOIN_RETURN_NOT_OK(r.U8(&out->backend_used));
-    uint8_t cache_hit = 0;
-    SIMJOIN_RETURN_NOT_OK(r.U8(&cache_hit));
-    out->plan_cache_hit = cache_hit != 0;
-  } else if (rest != 0) {
-    return Status::InvalidArgument(
-        "RangeQueryResult has unrecognised trailing bytes");
-  } else {
-    out->achieved_recall = 1.0;
-    out->backend_used = 0;
-    out->plan_cache_hit = false;
-  }
-  out->has_profile = profile_total != 0;
-  if (out->has_profile) {
-    SIMJOIN_RETURN_NOT_OK(ParseRequestProfile(&r, &out->profile));
-    if (r.remaining() != kWireProfileFrameBytes) {
-      return Status::InvalidArgument("profile extension length mismatch");
-    }
-    uint32_t profile_len = 0;
-    uint8_t magic = 0;
-    SIMJOIN_RETURN_NOT_OK(r.U32(&profile_len));
-    SIMJOIN_RETURN_NOT_OK(r.U8(&magic));
-  } else {
-    out->profile = obs::RequestProfile{};
-  }
-  return r.ExpectEnd();
+  TagValues tags;
+  SIMJOIN_RETURN_NOT_OK(
+      ReadTags(&r, {WireTag::kPlanner, WireTag::kProfile}, &tags));
+  out->achieved_recall = 1.0;
+  out->backend_used = 0;
+  out->plan_cache_hit = false;
+  SIMJOIN_RETURN_NOT_OK(ParseTag(
+      tags, WireTag::kPlanner, &out->has_planner, [&](WireReader* v) {
+        SIMJOIN_RETURN_NOT_OK(v->F64(&out->achieved_recall));
+        SIMJOIN_RETURN_NOT_OK(v->U8(&out->backend_used));
+        uint8_t cache_hit = 0;
+        SIMJOIN_RETURN_NOT_OK(v->U8(&cache_hit));
+        out->plan_cache_hit = cache_hit != 0;
+        return Status::OK();
+      }));
+  out->profile = obs::RequestProfile{};
+  return ParseTag(tags, WireTag::kProfile, &out->has_profile,
+                  [&](WireReader* v) {
+                    return ParseRequestProfile(v, &out->profile);
+                  });
 }
 
 // --------------------------------------------------------------------------
@@ -747,7 +739,7 @@ std::vector<uint8_t> EncodeSimilarityJoinRequest(
   w.F64(req.epsilon);
   w.U32(req.num_threads);
   w.U32(req.chunk_pairs);
-  EncodeTraceContext(req.trace, &w);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -762,11 +754,7 @@ Status ParseSimilarityJoinRequest(std::span<const uint8_t> payload,
   SIMJOIN_RETURN_NOT_OK(r.F64(&out->epsilon));
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->num_threads));
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->chunk_pairs));
-  out->trace = TraceContext{};
-  if (r.remaining() == kWireTraceExtBytes) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  return ParseTraceTags(&r, &out->trace);
 }
 
 std::vector<uint8_t> EncodeJoinChunk(std::span<const IdPair> pairs) {
@@ -783,16 +771,15 @@ Status ParseJoinChunk(std::span<const uint8_t> payload, JoinChunk* out) {
   WireReader r(payload);
   uint32_t count = 0;
   SIMJOIN_RETURN_NOT_OK(r.U32(&count));
-  if (r.remaining() % 8 != 0 ||
-      static_cast<uint64_t>(count) != r.remaining() / 8) {
-    return Status::InvalidArgument("join chunk count/payload mismatch");
+  if (static_cast<uint64_t>(count) * 8 > r.remaining()) {
+    return Status::OutOfRange("join chunk count exceeds payload");
   }
   out->pairs.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     SIMJOIN_RETURN_NOT_OK(r.U32(&out->pairs[i].first));
     SIMJOIN_RETURN_NOT_OK(r.U32(&out->pairs[i].second));
   }
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeJoinDone(const JoinDone& done) {
@@ -806,7 +793,7 @@ Status ParseJoinDone(std::span<const uint8_t> payload, JoinDone* out) {
   WireReader r(payload);
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->total_pairs));
   SIMJOIN_RETURN_NOT_OK(ParseJoinStats(&r, &out->stats));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 // --------------------------------------------------------------------------
@@ -820,7 +807,7 @@ std::vector<uint8_t> EncodeInsertRequest(const InsertRequest& req) {
   w.U32(req.dims == 0 ? 0
                       : static_cast<uint32_t>(req.rows.size() / req.dims));
   w.FloatArray(req.rows);
-  EncodeTraceContext(req.trace, &w);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -840,29 +827,9 @@ Status ParseInsertRequest(std::span<const uint8_t> payload,
   if (count == 0) {
     return Status::InvalidArgument("Insert needs at least one row");
   }
-  // Division keeps the comparison overflow-safe against hostile fields;
-  // the float block is a multiple of 4 bytes and the trace suffix is not,
-  // so the two surplus candidates cannot collide.
-  const uint64_t want = static_cast<uint64_t>(count) * out->dims;
-  size_t surplus = SIZE_MAX;
-  for (const size_t s : {size_t{0}, kWireTraceExtBytes}) {
-    if (r.remaining() >= s && (r.remaining() - s) % 4 == 0 &&
-        (r.remaining() - s) / 4 == want) {
-      surplus = s;
-      break;
-    }
-  }
-  if (surplus == SIZE_MAX) {
-    return Status::InvalidArgument(
-        "Insert row payload mismatch: header says " + std::to_string(want) +
-        " floats, payload holds " + std::to_string(r.remaining()) + " bytes");
-  }
-  SIMJOIN_RETURN_NOT_OK(r.FloatArray(want, &out->rows));
-  out->trace = TraceContext{};
-  if (surplus == kWireTraceExtBytes) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  SIMJOIN_RETURN_NOT_OK(
+      r.FloatArray(static_cast<uint64_t>(count) * out->dims, &out->rows));
+  return ParseTraceTags(&r, &out->trace);
 }
 
 std::vector<uint8_t> EncodeInsertResponse(const InsertResponse& resp) {
@@ -881,7 +848,7 @@ Status ParseInsertResponse(std::span<const uint8_t> payload,
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->count));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->delta_points));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->tombstones));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeRemoveRequest(const RemoveRequest& req) {
@@ -889,7 +856,7 @@ std::vector<uint8_t> EncodeRemoveRequest(const RemoveRequest& req) {
   w.String(req.name);
   w.U32(static_cast<uint32_t>(req.ids.size()));
   for (const PointId id : req.ids) w.U32(id);
-  EncodeTraceContext(req.trace, &w);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -905,28 +872,14 @@ Status ParseRemoveRequest(std::span<const uint8_t> payload,
   if (count == 0) {
     return Status::InvalidArgument("Remove needs at least one id");
   }
-  // The id block is a multiple of 4 bytes and the trace suffix is not, so
-  // the two surplus candidates cannot collide.
-  size_t surplus = SIZE_MAX;
-  for (const size_t s : {size_t{0}, kWireTraceExtBytes}) {
-    if (r.remaining() >= s && (r.remaining() - s) % 4 == 0 &&
-        (r.remaining() - s) / 4 == count) {
-      surplus = s;
-      break;
-    }
-  }
-  if (surplus == SIZE_MAX) {
-    return Status::InvalidArgument("Remove id count/payload mismatch");
+  if (static_cast<uint64_t>(count) * 4 > r.remaining()) {
+    return Status::OutOfRange("Remove id count exceeds payload");
   }
   out->ids.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     SIMJOIN_RETURN_NOT_OK(r.U32(&out->ids[i]));
   }
-  out->trace = TraceContext{};
-  if (surplus == kWireTraceExtBytes) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  return ParseTraceTags(&r, &out->trace);
 }
 
 std::vector<uint8_t> EncodeRemoveResponse(const RemoveResponse& resp) {
@@ -945,13 +898,13 @@ Status ParseRemoveResponse(std::span<const uint8_t> payload,
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->missing));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->delta_points));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->tombstones));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeFlushRequest(const FlushRequest& req) {
   WireWriter w;
   w.String(req.name);
-  EncodeTraceContext(req.trace, &w);
+  EncodeTraceTag(req.trace, &w);
   return w.Take();
 }
 
@@ -961,11 +914,7 @@ Status ParseFlushRequest(std::span<const uint8_t> payload, FlushRequest* out) {
   if (out->name.empty()) {
     return Status::InvalidArgument("index name must not be empty");
   }
-  out->trace = TraceContext{};
-  if (r.remaining() == kWireTraceExtBytes) {
-    SIMJOIN_RETURN_NOT_OK(ParseTraceSuffix(&r, &out->trace));
-  }
-  return r.ExpectEnd();
+  return ParseTraceTags(&r, &out->trace);
 }
 
 std::vector<uint8_t> EncodeFlushResponse(const FlushResponse& resp) {
@@ -988,7 +937,7 @@ Status ParseFlushResponse(std::span<const uint8_t> payload,
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->delta_points));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->tombstones));
   SIMJOIN_RETURN_NOT_OK(r.U64(&out->index_bytes));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 // --------------------------------------------------------------------------
@@ -1008,7 +957,7 @@ Status ParseDropIndexRequest(std::span<const uint8_t> payload,
   if (out->name.empty()) {
     return Status::InvalidArgument("index name must not be empty");
   }
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeDropIndexResponse(const DropIndexResponse& resp) {
@@ -1023,25 +972,21 @@ Status ParseDropIndexResponse(std::span<const uint8_t> payload,
   uint8_t found = 0;
   SIMJOIN_RETURN_NOT_OK(r.U8(&found));
   out->found = found != 0;
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeStatsRequest(const StatsRequest& req) {
   WireWriter w;
-  // Legacy shape is an empty payload; the flags byte appears only when a
-  // flag is set, so old servers keep accepting plain stats requests.
-  if (req.drain_slowlog) w.U8(0x01);
+  w.U8(req.drain_slowlog ? 0x01 : 0x00);
   return w.Take();
 }
 
 Status ParseStatsRequest(std::span<const uint8_t> payload, StatsRequest* out) {
-  *out = StatsRequest{};
-  if (payload.empty()) return Status::OK();  // legacy request
   WireReader r(payload);
   uint8_t flags = 0;
   SIMJOIN_RETURN_NOT_OK(r.U8(&flags));
   out->drain_slowlog = (flags & 0x01) != 0;
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 std::vector<uint8_t> EncodeStatsResponse(const StatsResponse& resp) {
@@ -1066,18 +1011,16 @@ std::vector<uint8_t> EncodeStatsResponse(const StatsResponse& resp) {
     w.F64(info.epsilon);
     w.U8(static_cast<uint8_t>(info.metric));
   }
-  // Rev 2: metrics block appended after the index list (rev-1 parsers stop
-  // at ExpectEnd and treat its absence as legacy; see StatsResponse).
   EncodeMetricsSnapshot(resp.metrics, &w);
-  // Rev 3: slow-query drain block, only when the request asked for it
-  // (absent block == legacy, same rule as the metrics block).
   if (resp.has_slowlog) {
+    const size_t mark = w.BeginTag(static_cast<uint8_t>(WireTag::kSlowlog));
     w.U32(static_cast<uint32_t>(resp.slowlog.size()));
     for (const obs::SlowQueryEntry& e : resp.slowlog) {
       EncodeSlowQueryEntry(e, &w);
     }
     w.U64(resp.slowlog_recorded);
     w.U64(resp.slowlog_evicted);
+    w.EndTag(mark);
   }
   return w.Take();
 }
@@ -1194,36 +1137,29 @@ Status ParseStatsResponse(std::span<const uint8_t> payload,
     SIMJOIN_RETURN_NOT_OK(r.U8(&metric_tag));
     SIMJOIN_RETURN_NOT_OK(ParseMetricTag(metric_tag, &info.metric));
   }
-  // Rev 1 payloads end here; rev 2 appends a metrics snapshot.
-  out->has_metrics = r.remaining() > 0;
-  if (out->has_metrics) {
-    SIMJOIN_RETURN_NOT_OK(ParseMetricsSnapshot(&r, &out->metrics));
-  } else {
-    out->metrics = obs::MetricsSnapshot{};
-  }
-  // Rev 2 payloads end here; rev 3 appends the slow-query drain block.
-  out->has_slowlog = r.remaining() > 0;
-  if (out->has_slowlog) {
-    uint32_t n = 0;
-    SIMJOIN_RETURN_NOT_OK(r.U32(&n));
-    // Every entry is at least 8 bytes on the wire (far more in practice);
-    // the cap stops hostile counts before the per-entry parses would.
-    if (n > 65536 || static_cast<uint64_t>(n) * 8 > r.remaining()) {
-      return Status::OutOfRange("slowlog entry count exceeds payload");
-    }
-    out->slowlog.clear();
-    out->slowlog.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      SIMJOIN_RETURN_NOT_OK(ParseSlowQueryEntry(&r, &out->slowlog[i]));
-    }
-    SIMJOIN_RETURN_NOT_OK(r.U64(&out->slowlog_recorded));
-    SIMJOIN_RETURN_NOT_OK(r.U64(&out->slowlog_evicted));
-  } else {
-    out->slowlog.clear();
-    out->slowlog_recorded = 0;
-    out->slowlog_evicted = 0;
-  }
-  return r.ExpectEnd();
+  SIMJOIN_RETURN_NOT_OK(ParseMetricsSnapshot(&r, &out->metrics));
+  TagValues tags;
+  SIMJOIN_RETURN_NOT_OK(ReadTags(&r, {WireTag::kSlowlog}, &tags));
+  out->slowlog.clear();
+  out->slowlog_recorded = 0;
+  out->slowlog_evicted = 0;
+  return ParseTag(
+      tags, WireTag::kSlowlog, &out->has_slowlog, [&](WireReader* v) {
+        uint32_t n = 0;
+        SIMJOIN_RETURN_NOT_OK(v->U32(&n));
+        // Every entry is at least 8 bytes on the wire (far more in
+        // practice); the cap stops hostile counts before the per-entry
+        // parses would.
+        if (n > 65536 || static_cast<uint64_t>(n) * 8 > v->remaining()) {
+          return Status::OutOfRange("slowlog entry count exceeds payload");
+        }
+        out->slowlog.resize(n);
+        for (uint32_t i = 0; i < n; ++i) {
+          SIMJOIN_RETURN_NOT_OK(ParseSlowQueryEntry(v, &out->slowlog[i]));
+        }
+        SIMJOIN_RETURN_NOT_OK(v->U64(&out->slowlog_recorded));
+        return v->U64(&out->slowlog_evicted);
+      });
 }
 
 std::vector<uint8_t> EncodeErrorResponse(const Status& status) {
@@ -1239,7 +1175,7 @@ Status ParseErrorResponse(std::span<const uint8_t> payload, Status* out) {
   SIMJOIN_RETURN_NOT_OK(r.U16(&code_tag));
   std::string message;
   SIMJOIN_RETURN_NOT_OK(r.String(&message, 64 << 10));
-  SIMJOIN_RETURN_NOT_OK(r.ExpectEnd());
+  SIMJOIN_RETURN_NOT_OK(SkipTags(&r));
   StatusCode code = StatusCode::kInternal;
   SIMJOIN_RETURN_NOT_OK(ParseStatusCodeTag(code_tag, &code));
   *out = Status(code, std::move(message));
@@ -1256,7 +1192,7 @@ Status ParseRetryAfterResponse(std::span<const uint8_t> payload,
                                RetryAfterResponse* out) {
   WireReader r(payload);
   SIMJOIN_RETURN_NOT_OK(r.U32(&out->retry_after_ms));
-  return r.ExpectEnd();
+  return SkipTags(&r);
 }
 
 // --------------------------------------------------------------------------

@@ -19,7 +19,17 @@
 // u32/u64.  Requests stream client -> server; a request is answered by
 // exactly one terminal response frame with the same request_id, optionally
 // preceded by zero or more kJoinChunk frames (SimilarityJoin streams its
-// result pairs).  See docs/service.md for the full layout of every payload.
+// result pairs).
+//
+//   payload := fixed_body tag*
+//   tag     := tag:u8 len:u32 value[len]
+//
+// Every payload is a fixed, type-specific body followed by a list of tagged
+// entries that runs to the end of the payload.  Tags carry the optional,
+// cross-cutting data (WireTag); one shared walker parses them for every
+// message: it skips tags the message does not know and rejects duplicates,
+// wrong lengths, and lengths past the payload end.  See docs/service.md for
+// the full layout of every payload.
 
 #ifndef SIMJOIN_SERVICE_PROTOCOL_H_
 #define SIMJOIN_SERVICE_PROTOCOL_H_
@@ -42,8 +52,9 @@ namespace simjoin {
 
 /// First four bytes of every frame: "SJWP" (simjoin wire protocol).
 inline constexpr uint32_t kWireMagic = 0x53'4a'57'50;
-/// Protocol revision; bumped on any incompatible layout change.
-inline constexpr uint8_t kWireVersion = 1;
+/// Protocol revision; bumped on any incompatible layout change.  Frames of
+/// any other version are rejected at the header.
+inline constexpr uint8_t kWireVersion = 2;
 /// Bytes of the fixed frame header.
 inline constexpr size_t kFrameHeaderSize = 24;
 /// Default ceiling on one frame's payload (guards the decoder against
@@ -118,6 +129,11 @@ class WireWriter {
   void String(const std::string& s);
   /// Raw float array, no length prefix (callers encode counts themselves).
   void FloatArray(std::span<const float> values);
+  /// Opens one tag entry: writes the tag and a length placeholder, and
+  /// returns the mark EndTag needs to patch the length once the value is
+  /// written.
+  size_t BeginTag(uint8_t tag);
+  void EndTag(size_t mark);
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -142,6 +158,8 @@ class WireReader {
   Status String(std::string* s, uint32_t max_len = 4096);
   /// Reads exactly count floats.
   Status FloatArray(size_t count, std::vector<float>* out);
+  /// Returns the next len bytes as a view into the payload.
+  Status Bytes(size_t len, std::span<const uint8_t>* out);
 
   size_t remaining() const { return data_.size() - pos_; }
   /// Fails unless the cursor consumed the payload exactly — trailing bytes
@@ -202,26 +220,33 @@ class FrameDecoder {
 inline constexpr uint32_t kMaxIndexNameLen = 256;
 
 // ---------------------------------------------------------------------------
-// Trace-context request extension
+// Tags
 // ---------------------------------------------------------------------------
 
-/// Trailing magic byte of the trace-context suffix ('T').  The suffix is
-/// appended *after* every other optional extension, so parsers detect it
-/// by exact surplus size plus this byte — a legacy payload whose natural
-/// tail happens to be 10 bytes longer is impossible by construction on
-/// every frame that carries the extension (see each parser's size
-/// arithmetic), and the magic catches stream corruption.
-inline constexpr uint8_t kWireTraceMagic = 0x54;
-/// Suffix layout: trace_id:u64 flags:u8 magic:u8.
-inline constexpr size_t kWireTraceExtBytes = 10;
+/// Tags of the optional entries after a fixed body.  The numbers are shared
+/// by all messages; a message skips tags it does not carry.  Append only.
+enum class WireTag : uint8_t {
+  /// Requests that take a trace (BuildIndex, RangeQuery, SimilarityJoin,
+  /// Insert, Remove, Flush): trace_id:u64 flags:u8.
+  kTrace = 1,
+  /// RangeQuery: recall:f64 backend:u8.  RangeQueryResult, echoed only when
+  /// the request carried it: achieved_recall:f64 backend_used:u8
+  /// cache_hit:u8.
+  kPlanner = 2,
+  /// RangeQueryResult: the RequestProfile body (EXPLAIN ANALYZE).
+  kProfile = 3,
+  /// StatsResult: count:u32 SlowQueryEntry[count] recorded:u64
+  /// evicted:u64.
+  kSlowlog = 4,
+};
+
 /// flags bit 0: request an EXPLAIN ANALYZE profile in the response.
 inline constexpr uint8_t kTraceFlagProfile = 0x01;
 
-/// Optional per-request trace context (docs/observability.md).  Legacy
-/// frames (present == false) are byte-identical to the pre-extension wire
-/// shape.  The client attaches a generated context to every request that
-/// does not already carry one, so server logs and traces can always name
-/// the request they belong to.
+/// Optional per-request trace context (docs/observability.md), carried as
+/// the kTrace tag.  The client attaches a generated context to every
+/// request that does not already carry one, so server logs and traces can
+/// always name the request they belong to.
 struct TraceContext {
   bool present = false;
   uint64_t trace_id = 0;
@@ -235,9 +260,9 @@ struct TraceContext {
 /// Process-unique nonzero trace id (random base + counter).
 uint64_t GenerateTraceId();
 
-/// Appends the 10-byte trace suffix to an already encoded request payload
-/// (no-op when ctx.present is false).  The client uses this to stamp
-/// requests without re-encoding them.
+/// Appends a kTrace entry to an already encoded request payload (no-op when
+/// ctx.present is false).  Tags are always the tail of a payload, so the
+/// client stamps requests without re-encoding them.
 void AppendTraceContext(const TraceContext& ctx, std::vector<uint8_t>* payload);
 
 struct BuildIndexRequest {
@@ -246,21 +271,14 @@ struct BuildIndexRequest {
   uint32_t num_threads = 1;  ///< build parallelism; 0 = server default
   uint32_t dims = 0;
   std::vector<float> points;  ///< row-major, points.size() == n * dims
-  /// Index structure to build.  Encoded as one trailing byte only when not
-  /// the default, so default builds keep the original wire shape (and old
-  /// servers keep accepting them); old servers reject grid builds with a
-  /// payload-mismatch error instead of misbuilding them.  Only buildable
-  /// kinds (tree, grid) are valid; the server rejects the rest.
+  /// Index structure to build.  Only buildable kinds (tree, grid,
+  /// updatable) are valid; the server rejects the rest.
   BackendKind backend = BackendKind::kEkdbFlat;
   /// Build the index *externally* (sort runs + merge on disk, core/
   /// segment_builder.h) and serve it memory-mapped instead of heap-built —
-  /// for datasets larger than the registry budget.  Encoded as a second
-  /// trailing byte after the backend byte (payload tail % 4 == 2), so
-  /// legacy frames keep their shape and old servers reject on-disk builds
-  /// with a payload-mismatch error instead of silently heap-building them.
-  /// Requires the tree backend and a server started with a spill dir.
+  /// for datasets larger than the registry budget.  Requires the tree
+  /// backend and a server started with a spill dir.
   bool on_disk = false;
-  /// Optional trace context, appended after the backend/on_disk tail.
   TraceContext trace;
 };
 
@@ -278,10 +296,9 @@ struct RangeQueryRequest {
   double epsilon = 0.0;  ///< 0 = the index's build epsilon
   uint32_t dims = 0;
   std::vector<float> queries;  ///< row-major, queries.size() == count * dims
-  /// Planner extension, encoded as 9 trailing bytes (recall:f64 backend:u8)
-  /// after the float block only when has_planner — the query count is an
-  /// explicit header field, so old servers reject extended payloads with a
-  /// mismatch error and old clients' frames still parse as legacy.
+  /// True when the kPlanner tag carries recall and backend.  Every request
+  /// is planned; without the tag it is planned at recall 1 with the backend
+  /// on auto, and the response carries no planner echo.
   bool has_planner = false;
   /// Recall target in (0, 1].  1 = exact answer (planner may still switch
   /// among exact backends); < 1 admits the LSH tier.
@@ -289,31 +306,26 @@ struct RangeQueryRequest {
   /// BackendKind wire byte forcing one backend, or kWireBackendAuto to let
   /// the cost-based planner choose.
   uint8_t backend = kWireBackendAuto;
-  /// Optional trace context, appended after the planner extension.  The
-  /// profile flag asks for the EXPLAIN ANALYZE response extension.
+  /// The profile flag asks for the kProfile tag in the response.
   TraceContext trace;
 };
 
 struct RangeQueryResponse {
-  /// results[i] = ids within epsilon of query i.  Legacy requests: index
-  /// traversal order (identical to FlatEkdbTree::RangeQuery on the same
-  /// snapshot).  Planner-extension requests: ascending id order — the
-  /// canonical form, so the bytes do not depend on which exact backend the
-  /// planner routed to.
+  /// results[i] = ids within epsilon of query i, in ascending id order —
+  /// the one answer order, so the bytes do not depend on which exact
+  /// backend the planner routed to.
   std::vector<std::vector<PointId>> results;
   JoinStats stats;  ///< summed over the batch
-  /// Planner extension, echoed (10 trailing bytes: achieved_recall:f64
-  /// backend_used:u8 cache_hit:u8) only when the request carried it.
+  /// True when the kPlanner echo is present (only when the request carried
+  /// the kPlanner tag).
   bool has_planner = false;
   /// Estimated recall achieved over the batch (1.0 on exact routes).
   double achieved_recall = 1.0;
   /// BackendKind wire byte of the backend that served the batch.
   uint8_t backend_used = 0;
   bool plan_cache_hit = false;
-  /// EXPLAIN ANALYZE extension: the request's phase tree, appended after
-  /// the planner extension as [profile][len:u32][magic 'P'] and detected
-  /// from the payload tail — only present when the request set the
-  /// profile flag in its trace context.
+  /// True when the kProfile tag carries the request's phase tree (only when
+  /// the request set the profile flag in its trace context).
   bool has_profile = false;
   obs::RequestProfile profile;
 };
@@ -399,7 +411,7 @@ struct IndexInfo {
   Metric metric = Metric::kL2;
 };
 
-/// kStats payload.  A legacy (empty) payload behaves as all-false flags.
+/// kStats payload: one flags byte.
 struct StatsRequest {
   /// Drain the server's slow-query ring into the response (entries are
   /// removed server-side — repeated drains return only new entries).
@@ -418,14 +430,10 @@ struct StatsResponse {
   uint64_t registry_bytes = 0;
   uint64_t registry_evictions = 0;
   std::vector<IndexInfo> indexes;
-  /// Payload rev 2: full metrics-registry snapshot appended after the index
-  /// list.  A rev-1 payload simply ends after the indexes, so old clients
-  /// ignore the block and new clients parse rev-1 responses with
-  /// has_metrics == false — no frame-version bump needed.
-  bool has_metrics = false;
+  /// Full metrics-registry snapshot.
   obs::MetricsSnapshot metrics;
-  /// Payload rev 3, appended after the metrics block only when the request
-  /// asked for a slow-query drain (same absent-block backwards rule).
+  /// True when the kSlowlog tag is present (only when the request asked
+  /// for a slow-query drain).
   bool has_slowlog = false;
   std::vector<obs::SlowQueryEntry> slowlog;
   uint64_t slowlog_recorded = 0;  ///< entries ever recorded server-side
@@ -442,9 +450,9 @@ struct RetryAfterResponse {
 };
 
 // Payload encoders (frame body only; wrap with EncodeFrame) and parsers.
-// Parsers validate structure — string bounds, float-count consistency,
-// exact payload consumption — but not semantics (unknown index names etc.
-// are the server's job).
+// Parsers validate structure — string bounds, float-count consistency, the
+// tag list up to the payload end — but not semantics (unknown index names
+// etc. are the server's job).
 std::vector<uint8_t> EncodeBuildIndexRequest(const BuildIndexRequest& req);
 Status ParseBuildIndexRequest(std::span<const uint8_t> payload,
                               BuildIndexRequest* out);
@@ -528,8 +536,8 @@ inline constexpr uint32_t kMaxMetricNameLen = 256;
 inline constexpr uint32_t kMaxMetricsPerKind = 4096;
 inline constexpr uint32_t kMaxHistogramBoundaries = 512;
 
-/// Metrics snapshot as the rev-2 Stats block (also usable standalone; the
-/// parser enforces the kMaxMetric* bounds above).
+/// Metrics snapshot as the Stats block (also usable standalone; the parser
+/// enforces the kMaxMetric* bounds above).
 void EncodeMetricsSnapshot(const obs::MetricsSnapshot& snapshot,
                            WireWriter* w);
 Status ParseMetricsSnapshot(WireReader* r, obs::MetricsSnapshot* out);
@@ -538,14 +546,6 @@ Status ParseMetricsSnapshot(WireReader* r, obs::MetricsSnapshot* out);
 // EXPLAIN ANALYZE profile block
 // ---------------------------------------------------------------------------
 
-/// Trailing magic byte of the profile response extension ('P').  Layout on
-/// kRangeQueryResult, after the optional planner extension:
-/// [profile bytes][profile_len:u32][magic:u8].  Detected from the payload
-/// tail; the planner extension's last byte (a 0/1 cache-hit flag) can
-/// never equal the magic, so the two tails stay distinguishable.
-inline constexpr uint8_t kWireProfileMagic = 0x50;
-/// Length + magic framing bytes past the profile body.
-inline constexpr size_t kWireProfileFrameBytes = 5;
 /// Longest accepted phase/counter name and plan string on the parse side.
 inline constexpr uint32_t kMaxProfileNameLen = 256;
 inline constexpr uint32_t kMaxProfilePlanLen = 1024;
@@ -556,7 +556,7 @@ inline constexpr uint32_t kMaxProfilePlanLen = 1024;
 void EncodeRequestProfile(const obs::RequestProfile& profile, WireWriter* w);
 Status ParseRequestProfile(WireReader* r, obs::RequestProfile* out);
 
-/// Slow-query entries as the rev-3 Stats block.
+/// One slow-query entry of the kSlowlog tag.
 void EncodeSlowQueryEntry(const obs::SlowQueryEntry& entry, WireWriter* w);
 Status ParseSlowQueryEntry(WireReader* r, obs::SlowQueryEntry* out);
 

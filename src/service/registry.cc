@@ -11,7 +11,6 @@
 #include "core/delta_index.h"
 #include "core/segment.h"
 #include "obs/metrics.h"
-#include "rtree/rtree_backend.h"
 
 namespace simjoin {
 namespace {
@@ -155,23 +154,6 @@ void IndexSnapshot::ImportPlanCache(const PlanCache& cache) const {
   plan_cache_.insert(cache.begin(), cache.end());
 }
 
-Status IndexSnapshot::ValidateQueryEpsilon(double eps_query) const {
-  return primary_->ValidateQueryEpsilon(eps_query);
-}
-
-Status IndexSnapshot::RangeQuery(const float* query, double eps_query,
-                                 std::vector<PointId>* out,
-                                 JoinStats* stats) const {
-  return primary_->RangeQuery(query, eps_query, out, stats, nullptr);
-}
-
-Status IndexSnapshot::RangeQueryBatch(
-    const RangeQuerySpec* specs, size_t count,
-    std::vector<std::vector<PointId>>* results,
-    std::vector<JoinStats>* stats) const {
-  return primary_->RangeQueryBatch(specs, count, results, stats, nullptr);
-}
-
 Result<std::shared_ptr<const IndexBackend>> IndexSnapshot::Backend(
     BackendKind kind, bool* built) const {
   if (built != nullptr) *built = false;
@@ -206,12 +188,6 @@ Result<std::shared_ptr<const IndexBackend>> IndexSnapshot::Backend(
       SIMJOIN_ASSIGN_OR_RETURN(
           auto backend, BruteSimdBackend::Build(*data_,
                                                 primary_->config()));
-      slot = std::move(backend);
-      break;
-    }
-    case BackendKind::kRTree: {
-      SIMJOIN_ASSIGN_OR_RETURN(
-          auto backend, RTreeBackend::Build(*data_, primary_->config()));
       slot = std::move(backend);
       break;
     }

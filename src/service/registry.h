@@ -107,18 +107,6 @@ class IndexSnapshot {
   const FlatEkdbTree& tree() const { return *primary_->flat_tree(); }
   const EkdbConfig& config() const { return primary_->config(); }
 
-  /// Range-query entry points that dispatch to the primary backend; the
-  /// contract (validation, id order, stats tally, fused bit-identity) is
-  /// identical across backends.  These serve the legacy (plannerless)
-  /// request path byte-for-byte unchanged.
-  Status ValidateQueryEpsilon(double eps_query) const;
-  Status RangeQuery(const float* query, double eps_query,
-                    std::vector<PointId>* out,
-                    JoinStats* stats = nullptr) const;
-  Status RangeQueryBatch(const RangeQuerySpec* specs, size_t count,
-                         std::vector<std::vector<PointId>>* results,
-                         std::vector<JoinStats>* stats = nullptr) const;
-
   /// Returns (building and caching on first use) the exact auxiliary
   /// backend of the given kind; the primary is returned directly when the
   /// kind matches.  Errors for kLsh (use PlanRange, which sizes LSH from

@@ -48,7 +48,7 @@ double ElapsedUs(Clock::time_point since) {
 
 /// Service-layer registry handles, resolved once.  The per-opcode latency
 /// histograms cover admission to terminal-response enqueue; the counters
-/// mirror the Impl atomics (which remain the wire-compatible rev-1 fields)
+/// mirror the Impl atomics (which fill the Stats response's fixed counters)
 /// so `stats --watch` sees everything through one snapshot.
 struct ServiceMetrics {
   obs::Histogram* latency_build_index;
@@ -71,7 +71,7 @@ struct ServiceMetrics {
   obs::Counter* fusion_wait_expired;
   obs::Histogram* fusion_batch_size;
   obs::Histogram* fusion_wait_us;  ///< admission -> batch execution start
-  obs::Counter* planner_requests;       ///< planner-extension range queries
+  obs::Counter* planner_requests;       ///< planned range queries
   obs::Counter* planner_cache_hits;     ///< decision served from plan cache
   obs::Counter* planner_cache_misses;   ///< cold plans (probe + selectivity)
   obs::Counter* planner_forced;         ///< request pinned the backend
@@ -470,7 +470,7 @@ struct Server::Impl {
 
   /// Observability state of one in-flight request.  ExecuteRequest stamps
   /// the timing fields; the handler calls ArmObs once its request has
-  /// parsed (the trace context rides the payload tail, so it is only known
+  /// parsed (the trace context is a payload tag, so it is only known
   /// post-parse).  When the request asked for a profile — or the slow-query
   /// log wants one for every over-threshold request — ArmObs opens the
   /// phase tree (queue | parse | execute, contiguous by construction) and
@@ -642,17 +642,17 @@ struct Server::Impl {
   }
 
   /// Parses and resolves one range-query request up to the point where it
-  /// could execute: snapshot looked up, dims checked, epsilon resolved and
-  /// validated.  Shared by the solo and fused paths so both fail with
-  /// byte-identical errors.
+  /// could execute: snapshot looked up, dims checked, epsilon resolved, and
+  /// the request planned (which validates epsilon and recall).  Shared by
+  /// the solo and fused paths so both fail with byte-identical errors, and
+  /// a bad request in a fused batch fails only itself.
   struct ResolvedRangeQuery {
     RangeQueryRequest req;
+    /// Keeps the dataset the planned backend reads alive.
     std::shared_ptr<const IndexSnapshot> snapshot;
     double eps = 0.0;
     size_t count = 0;  ///< query points in the request
-    /// Engaged only for planner-extension requests (req.has_planner); the
-    /// legacy path executes through the snapshot's primary, untouched.
-    PlannedRange planned;
+    PlannedRange planned;  ///< the backend that executes the request
   };
 
   /// Precondition: out->req is already parsed (the solo and fused paths
@@ -669,62 +669,43 @@ struct Server::Impl {
     out->eps = out->req.epsilon == 0.0 ? out->snapshot->config().epsilon
                                        : out->req.epsilon;
     out->count = out->req.queries.size() / out->req.dims;
-    // Validate up front (the per-query execution would reject the same way)
-    // so a bad radius in a fused batch fails only its own request, with the
-    // same error text the unfused path produces.
-    if (out->count > 0) {
-      SIMJOIN_RETURN_NOT_OK(out->snapshot->ValidateQueryEpsilon(out->eps));
+    // A request without the planner tag parsed as recall 1, backend auto.
+    SIMJOIN_ASSIGN_OR_RETURN(
+        out->planned,
+        out->snapshot->PlanRange(out->eps, out->req.recall, out->req.backend,
+                                 RangePlannerOptions{}));
+    const ServiceMetrics& metrics = GetServiceMetrics();
+    metrics.planner_requests->Add();
+    if (out->req.backend != kWireBackendAuto) {
+      metrics.planner_forced->Add();
+    } else if (out->planned.cache_hit) {
+      metrics.planner_cache_hits->Add();
+    } else {
+      metrics.planner_cache_misses->Add();
     }
-    if (out->req.has_planner) {
-      SIMJOIN_ASSIGN_OR_RETURN(
-          out->planned,
-          out->snapshot->PlanRange(out->eps, out->req.recall,
-                                   out->req.backend, RangePlannerOptions{}));
-      const ServiceMetrics& metrics = GetServiceMetrics();
-      metrics.planner_requests->Add();
-      if (out->req.backend != kWireBackendAuto) {
-        metrics.planner_forced->Add();
-      } else if (out->planned.cache_hit) {
-        metrics.planner_cache_hits->Add();
-      } else {
-        metrics.planner_cache_misses->Add();
-      }
-      if (out->planned.built_backend) metrics.planner_backend_builds->Add();
-      metrics.RoutedCounterFor(out->planned.plan.kind)->Add();
-    }
+    if (out->planned.built_backend) metrics.planner_backend_builds->Add();
+    metrics.RoutedCounterFor(out->planned.plan.kind)->Add();
     return Status::OK();
   }
 
-  /// The IndexBackend one resolved request executes on: the planner's pick
-  /// for extension requests, the snapshot's primary otherwise.  Lifetime is
-  /// carried by the ResolvedRangeQuery (snapshot / planned.backend).
-  static const IndexBackend* ExecBackend(const ResolvedRangeQuery& rq) {
-    return rq.req.has_planner ? rq.planned.backend.get()
-                              : &rq.snapshot->primary();
-  }
-
   /// Human-readable planner decision carried in profiles and slow-log
-  /// entries: which backend executed, at what radius, and (for planner
-  /// requests) whether the decision came from the plan cache.
+  /// entries: which backend executed, at what radius and recall target,
+  /// and whether the decision came from the plan cache.
   static std::string RangePlanString(const ResolvedRangeQuery& rq) {
     std::string plan = "backend=";
-    plan += BackendKindName(rq.req.has_planner ? rq.planned.plan.kind
-                                               : rq.snapshot->backend());
+    plan += BackendKindName(rq.planned.plan.kind);
     plan += " eps=" + std::to_string(rq.eps);
-    if (rq.req.has_planner) {
-      plan += " recall_target=" + std::to_string(rq.req.recall);
-      plan += rq.planned.cache_hit ? " cache=hit" : " cache=miss";
-    } else {
-      plan += " route=primary";
-    }
+    plan += " recall_target=" + std::to_string(rq.req.recall);
+    plan += rq.planned.cache_hit ? " cache=hit" : " cache=miss";
     return plan;
   }
 
-  /// Finishes one planner-extension response: canonicalises each id list to
-  /// ascending order (so answer bytes do not depend on the routed backend)
-  /// and aggregates the per-query recall estimates into one batch figure —
-  /// each query's estimated true neighbour count is found/recall, so the
-  /// batch estimate is total found over the summed estimates.
+  /// Finishes one response: canonicalises each id list to ascending order
+  /// (the one answer order, so answer bytes do not depend on the routed
+  /// backend) and, when the request carried the planner tag, echoes the
+  /// plan with the per-query recall estimates aggregated into one batch
+  /// figure — each query's estimated true neighbour count is found/recall,
+  /// so the batch estimate is total found over the summed estimates.
   static void FinalizePlannedResponse(const ResolvedRangeQuery& rq,
                                       const std::vector<double>& recalls,
                                       size_t recalls_offset,
@@ -743,7 +724,7 @@ struct Server::Impl {
     double achieved =
         found > 0 ? static_cast<double>(found) / est_true
                   : rq.planned.backend->ExpectedRecall(rq.eps);
-    resp->has_planner = true;
+    resp->has_planner = rq.req.has_planner;
     resp->achieved_recall = std::min(1.0, std::max(0.0, achieved));
     resp->backend_used = static_cast<uint8_t>(rq.planned.plan.kind);
     resp->plan_cache_hit = rq.planned.cache_hit;
@@ -762,21 +743,13 @@ struct Server::Impl {
     resp.results.resize(rq.count);
     {
       SIMJOIN_TRACE_SPAN("service.phase.query");
-      if (!rq.req.has_planner) {
-        for (size_t i = 0; i < rq.count; ++i) {
-          SIMJOIN_RETURN_NOT_OK(rq.snapshot->RangeQuery(
-              rq.req.queries.data() + i * rq.req.dims, rq.eps,
-              &resp.results[i], &resp.stats));
-        }
-      } else {
-        std::vector<double> recalls(rq.count, 1.0);
-        for (size_t i = 0; i < rq.count; ++i) {
-          SIMJOIN_RETURN_NOT_OK(rq.planned.backend->RangeQuery(
-              rq.req.queries.data() + i * rq.req.dims, rq.eps,
-              &resp.results[i], &resp.stats, &recalls[i]));
-        }
-        FinalizePlannedResponse(rq, recalls, 0, &resp);
+      std::vector<double> recalls(rq.count, 1.0);
+      for (size_t i = 0; i < rq.count; ++i) {
+        SIMJOIN_RETURN_NOT_OK(rq.planned.backend->RangeQuery(
+            rq.req.queries.data() + i * rq.req.dims, rq.eps, &resp.results[i],
+            &resp.stats, &recalls[i]));
       }
+      FinalizePlannedResponse(rq, recalls, 0, &resp);
     }
     if (ro->collector != nullptr) {
       obs::AddRequestCounter("query_points", rq.count);
@@ -932,12 +905,10 @@ struct Server::Impl {
       info.metric = entry.metric;
       resp.indexes.push_back(std::move(info));
     }
-    // Rev 2: the full registry snapshot (pool, join-phase, and service
-    // metrics) rides along after the index list.
+    // The full registry snapshot (pool, join-phase, and service metrics).
     resp.metrics = obs::GlobalMetrics().Snapshot();
-    // Rev 3: drain the slow-query ring on request.  With no log configured
-    // the block still answers (present, empty) so `simjoin_client slowlog`
-    // can tell "nothing recorded" from "server predates the extension".
+    // Drain the slow-query ring on request.  With no log configured the
+    // tag still answers (present, empty).
     if (req.drain_slowlog) {
       resp.has_slowlog = true;
       if (slow_log != nullptr) {
@@ -1170,12 +1141,13 @@ struct Server::Impl {
   /// Runs one fused batch of admitted range queries on a worker thread.
   ///
   /// Each entry is resolved exactly as the solo path would (same parse,
-  /// lookup, dims, and epsilon errors); the viable ones are grouped by index
-  /// snapshot and executed through RangeQueryBatch, which plans every
-  /// query's leaf windows, sorts them by arena position, and sweeps the
-  /// coordinate arena once with the strided SIMD kernels.  Responses are
-  /// bit-identical to solo execution: same id order, same per-request
-  /// JoinStats (RangeQueryBatch attributes kernel counters per query).
+  /// lookup, dims, epsilon, and plan errors); the viable ones are grouped
+  /// by the backend the planner picked and executed through
+  /// RangeQueryBatch, which plans every query's leaf windows, sorts them by
+  /// arena position, and sweeps the coordinate arena once with the strided
+  /// SIMD kernels.  Responses are bit-identical to solo execution: same
+  /// ascending ids, same per-request JoinStats (RangeQueryBatch attributes
+  /// kernel counters per query).
   void ExecuteFusedBatch(std::vector<FusionEntry> entries) {
     if (config.handler_delay_ms_for_testing > 0) {
       std::this_thread::sleep_for(
@@ -1259,13 +1231,10 @@ struct Server::Impl {
       viable[i] = true;
     }
 
-    // Group viable requests by the backend that executes them (the
-    // planner's pick for extension requests, the snapshot primary
-    // otherwise); requests on the same structure fuse among themselves, so
-    // legacy and planner-routed-to-primary traffic against one index still
-    // share a sweep.  Raw pointers are safe as group keys: each resolved
-    // entry keeps its snapshot (and any planner backend) alive for the
-    // whole batch.  Linear scan: batches hold few distinct backends.
+    // Group viable requests by the backend the planner picked; requests on
+    // the same structure fuse among themselves.  Raw pointers are safe as
+    // group keys: each resolved entry keeps its planned backend alive for
+    // the whole batch.  Linear scan: batches hold few distinct backends.
     struct BackendGroup {
       const IndexBackend* backend;
       std::vector<size_t> members;  ///< entry indexes, admission order
@@ -1273,7 +1242,7 @@ struct Server::Impl {
     std::vector<BackendGroup> groups;
     for (size_t i = 0; i < n; ++i) {
       if (!viable[i]) continue;
-      const IndexBackend* backend = ExecBackend(resolved[i]);
+      const IndexBackend* backend = resolved[i].planned.backend.get();
       auto it = std::find_if(
           groups.begin(), groups.end(),
           [backend](const BackendGroup& g) { return g.backend == backend; });
@@ -1286,10 +1255,8 @@ struct Server::Impl {
 
     for (const BackendGroup& bg : groups) {
       std::vector<RangeQuerySpec> specs;
-      bool any_planner = false;
       for (const size_t i : bg.members) {
         const ResolvedRangeQuery& rq = resolved[i];
-        any_planner = any_planner || rq.req.has_planner;
         for (size_t q = 0; q < rq.count; ++q) {
           specs.push_back(RangeQuerySpec{
               rq.req.queries.data() + q * rq.req.dims, rq.eps});
@@ -1303,8 +1270,7 @@ struct Server::Impl {
       const uint64_t sweep_cpu_start = obs::ThreadCpuNanos();
       if (!specs.empty()) {
         st = bg.backend->RangeQueryBatch(specs.data(), specs.size(), &results,
-                                         &stats,
-                                         any_planner ? &recalls : nullptr);
+                                         &stats, &recalls);
       }
       const uint64_t sweep_end_ns = obs::internal::TraceNowNanos();
       const uint64_t sweep_cpu = obs::ThreadCpuNanos() - sweep_cpu_start;
@@ -1327,9 +1293,7 @@ struct Server::Impl {
           resp.results.push_back(std::move(results[cursor]));
           resp.stats.Merge(stats[cursor]);
         }
-        if (rq.req.has_planner) {
-          FinalizePlannedResponse(rq, recalls, first, &resp);
-        }
+        FinalizePlannedResponse(rq, recalls, first, &resp);
         if (obs::RequestProfileCollector* col = eobs[i].collector.get()) {
           // The group sweep is one shared interval; every member's tree
           // carries it whole (the member really did wait for all of it).

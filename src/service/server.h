@@ -30,9 +30,10 @@
 // Query execution never locks the registry for longer than a map lookup:
 // handlers copy out a shared_ptr snapshot and run lock-free against it, so
 // concurrent BuildIndex requests (which insert new snapshots) neither block
-// nor are blocked by running queries.  Responses are bit-identical to the
-// in-process FlatEkdbTree APIs — same id order, same pair sequence, same
-// JoinStats — which the loopback differential tests assert.
+// nor are blocked by running queries.  Range answers are the in-process
+// answer of the backend the planner picked, each id list in ascending order;
+// joins stream the in-process pair sequence with the same JoinStats.  The
+// loopback differential tests assert both.
 
 #ifndef SIMJOIN_SERVICE_SERVER_H_
 #define SIMJOIN_SERVICE_SERVER_H_
@@ -95,12 +96,13 @@ struct ServerConfig {
 
   /// Cross-connection range-query fusion.  Admitted kRangeQuery frames from
   /// ALL connections land in one fusion buffer; a dedicated collector thread
-  /// flushes the buffer as one fused batch — executed with
-  /// IndexSnapshot::RangeQueryBatch, which sorts the constituent leaf sweeps
-  /// by arena position and runs one SIMD kernel over the whole batch — when
-  /// either fusion_max_batch requests have accumulated or the oldest one has
-  /// waited fusion_wait_us microseconds.  Per-request responses are
-  /// bit-identical to unfused execution (same id order, same JoinStats), so
+  /// flushes the buffer as one fused batch — grouped by planned backend and
+  /// executed with IndexBackend::RangeQueryBatch, which sorts the
+  /// constituent leaf sweeps by arena position and runs one SIMD kernel over
+  /// the whole batch — when either fusion_max_batch requests have
+  /// accumulated or the oldest one has waited fusion_wait_us microseconds.
+  /// Per-request responses are bit-identical to unfused execution (same
+  /// ascending ids, same JoinStats), so
   /// fusion is purely a throughput/latency trade: under load, batches fill
   /// and amortise traversal + kernel dispatch; when idle, a lone query pays
   /// at most the wait budget.

@@ -164,9 +164,8 @@ TEST(EpsilonGridTest, BackendWireCodecRejectsUnknownValues) {
   auto brute = BackendKindFromWire(3);
   ASSERT_TRUE(brute.ok());
   EXPECT_EQ(*brute, BackendKind::kBruteSimd);
-  auto rtree = BackendKindFromWire(4);
-  ASSERT_TRUE(rtree.ok());
-  EXPECT_EQ(*rtree, BackendKind::kRTree);
+  // 4 was the retired R-tree serving backend; the value stays unused.
+  EXPECT_FALSE(BackendKindFromWire(4).ok());
   auto updatable = BackendKindFromWire(5);
   ASSERT_TRUE(updatable.ok());
   EXPECT_EQ(*updatable, BackendKind::kUpdatable);
@@ -179,7 +178,6 @@ TEST(EpsilonGridTest, BackendWireCodecRejectsUnknownValues) {
   EXPECT_TRUE(BackendKindBuildable(BackendKind::kUpdatable));
   EXPECT_FALSE(BackendKindBuildable(BackendKind::kLsh));
   EXPECT_FALSE(BackendKindBuildable(BackendKind::kBruteSimd));
-  EXPECT_FALSE(BackendKindBuildable(BackendKind::kRTree));
 }
 
 /// Respects the cell-table cap: a tiny epsilon in 3-d would want millions of

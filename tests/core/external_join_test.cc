@@ -17,7 +17,9 @@ using testing_util::OracleSelfJoin;
 class ExternalJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    temp_dir_ = ::testing::TempDir() + "/extjoin";
+    // One directory per test: ctest runs tests as parallel processes.
+    temp_dir_ = ::testing::TempDir() + "/extjoin_" +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::create_directories(temp_dir_);
   }
 

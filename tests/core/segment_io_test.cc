@@ -40,7 +40,10 @@ EkdbConfig Config(double epsilon, size_t leaf_threshold = 16) {
 class SegmentIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    temp_dir_ = ::testing::TempDir() + "/segment_io";
+    // One directory per test: ctest runs tests as parallel processes, and
+    // TearDown removes the whole directory.
+    temp_dir_ = ::testing::TempDir() + "/segment_io_" +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::create_directories(temp_dir_);
   }
 

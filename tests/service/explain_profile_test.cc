@@ -147,7 +147,7 @@ TEST(ExplainProfileTest, UntracedRequestsCarryNoProfile) {
   LiveServer live = StartWithClient();
   ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("idx", data, 0.2)).ok());
   // The client auto-attaches a trace id, but without the profile flag the
-  // response must stay profile-free (and legacy-shaped).
+  // response must carry no kProfile tag.
   auto resp = live.client.RangeQuery(QueryBatch(data, false));
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->has_profile);

@@ -1,11 +1,12 @@
 // Differential tests for the batch-fused query execution engine: fusing
 // range queries across connections is an execution strategy, never a
 // semantic change.  Every response produced by a fused server must be
-// bit-identical — same neighbour id order, same JoinStats — to the
+// bit-identical — same ascending neighbour ids, same JoinStats — to the
 // in-process reference APIs and to an unfused server, at every worker
 // count and every SIMD dispatch tier, and per-request failures inside a
 // fused batch must stay confined to the request that caused them.
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -15,8 +16,8 @@
 #include "core/ekdb_flat.h"
 #include "core/ekdb_flat_join.h"
 #include "core/ekdb_tree.h"
-#include "core/epsilon_grid.h"
 #include "service/client.h"
+#include "service/planned_reference.h"
 #include "service/server.h"
 #include "workload/generators.h"
 #include "gtest/gtest.h"
@@ -73,6 +74,16 @@ void ExpectStatsEqual(const JoinStats& a, const JoinStats& b) {
   EXPECT_EQ(a.scalar_fallbacks, b.scalar_fallbacks);
 }
 
+/// Neighbours of `query` from the in-process flat tree, in ascending id
+/// order (the wire order).
+std::vector<PointId> SortedTreeAnswer(const FlatEkdbTree& tree,
+                                      const float* query, double eps) {
+  std::vector<PointId> ids;
+  EXPECT_TRUE(tree.RangeQuery(query, eps, &ids).ok());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 /// Fusion config that reliably forms multi-request batches in a test: a
 /// generous wait budget parks concurrent requests together instead of
 /// flushing the first one alone.
@@ -86,17 +97,14 @@ ServerConfig FusedConfig(uint32_t worker_threads = 0) {
 }
 
 // The tentpole contract: a fused server answers exactly like the
-// in-process FlatEkdbTree (which is also what an unfused server executes),
-// per query and per JoinStats, at 1/2/4 worker threads, with many
-// connections issuing overlapping requests so real multi-request batches
-// form.
+// in-process planned backend (which is also what an unfused server
+// executes), per query and per JoinStats, at 1/2/4 worker threads, with
+// many connections issuing overlapping requests so real multi-request
+// batches form.
 TEST(FusionTest, FusedMatchesReferenceAtEveryWorkerCount) {
   const Dataset data = MakeData(500, 8, 11);
   const EkdbConfig config = Config(0.2);
-  auto ref_tree = EkdbTree::Build(data, config);
-  ASSERT_TRUE(ref_tree.ok());
-  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
-  ASSERT_TRUE(ref_flat.ok());
+  const PlannedReference ref(data, config, 0.15);
 
   constexpr size_t kThreads = 8;
   constexpr size_t kRequestsPerThread = 4;
@@ -131,13 +139,9 @@ TEST(FusionTest, FusedMatchesReferenceAtEveryWorkerCount) {
           ASSERT_EQ(resp->results.size(), kQueriesPerRequest);
           JoinStats ref_stats;
           for (size_t q = 0; q < kQueriesPerRequest; ++q) {
-            std::vector<PointId> expected;
-            ASSERT_TRUE(ref_flat
-                            ->RangeQuery(data.Row(static_cast<PointId>(
-                                             rows[q])),
-                                         0.15, &expected, &ref_stats)
-                            .ok());
-            EXPECT_EQ(resp->results[q], expected)
+            EXPECT_EQ(resp->results[q],
+                      ref.Query(data.Row(static_cast<PointId>(rows[q])),
+                                &ref_stats))
                 << "workers=" << workers << " thread=" << t << " query=" << q;
           }
           ExpectStatsEqual(resp->stats, ref_stats);
@@ -196,12 +200,10 @@ TEST(FusionTest, DispatchTiersAgreeBitForBit) {
   ASSERT_TRUE(ref_flat.ok());
   ASSERT_EQ(setenv("SIMJOIN_KERNEL_PATH", "scalar", 1), 0);
   for (size_t q = 0; q < batch; ++q) {
-    std::vector<PointId> expected;
-    ASSERT_TRUE(ref_flat
-                    ->RangeQuery(data.Row(static_cast<PointId>(q)), 0.25,
-                                 &expected)
-                    .ok());
-    EXPECT_EQ(per_tier_results[0][q], expected) << "query " << q;
+    EXPECT_EQ(per_tier_results[0][q],
+              SortedTreeAnswer(*ref_flat, data.Row(static_cast<PointId>(q)),
+                               0.25))
+        << "query " << q;
   }
   ASSERT_EQ(unsetenv("SIMJOIN_KERNEL_PATH"), 0);
 }
@@ -282,12 +284,9 @@ TEST(FusionTest, PerRequestErrorsAreIsolatedWithinABatch) {
       const size_t qi = static_cast<size_t>(i * 9) % data.size();
       auto ids = client->RangeQueryOne("d", data.RowSpan(qi), 0.1);
       ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-      std::vector<PointId> expected;
-      ASSERT_TRUE(ref_flat
-                      ->RangeQuery(data.Row(static_cast<PointId>(qi)), 0.1,
-                                   &expected)
-                      .ok());
-      EXPECT_EQ(*ids, expected);
+      EXPECT_EQ(*ids, SortedTreeAnswer(*ref_flat,
+                                       data.Row(static_cast<PointId>(qi)),
+                                       0.1));
     }
   });
   for (std::thread& t : threads) t.join();
@@ -295,13 +294,13 @@ TEST(FusionTest, PerRequestErrorsAreIsolatedWithinABatch) {
 
 // The epsilon-grid backend is a first-class fusion citizen: built over the
 // wire, its fused range queries are bit-identical to the in-process
-// EpsilonGrid, and joins against it fall back to a lazily built flat-tree
-// auxiliary — same pairs as a tree-primary index, no error.
+// planned backend over a grid primary, and joins against it fall back to a
+// lazily built flat-tree auxiliary — same pairs as a tree-primary index,
+// no error.
 TEST(FusionTest, GridBackendServesFusedQueriesAndJoinsViaTreeFallback) {
   const Dataset data = MakeData(600, 3, 41);
   const EkdbConfig config = Config(0.15);
-  auto ref_grid = EpsilonGrid::Build(data, config);
-  ASSERT_TRUE(ref_grid.ok());
+  const PlannedReference ref(data, config, 0.12, BackendKind::kEpsilonGrid);
 
   LiveServer live = StartWithClient(FusedConfig());
   BuildIndexRequest build = BuildRequestFor("g", data, config);
@@ -321,12 +320,9 @@ TEST(FusionTest, GridBackendServesFusedQueriesAndJoinsViaTreeFallback) {
   ASSERT_EQ(resp->results.size(), batch);
   JoinStats ref_stats;
   for (size_t q = 0; q < batch; ++q) {
-    std::vector<PointId> expected;
-    ASSERT_TRUE(ref_grid
-                    ->RangeQuery(data.Row(static_cast<PointId>(q)), 0.12,
-                                 &expected, &ref_stats)
-                    .ok());
-    EXPECT_EQ(resp->results[q], expected) << "query " << q;
+    EXPECT_EQ(resp->results[q],
+              ref.Query(data.Row(static_cast<PointId>(q)), &ref_stats))
+        << "query " << q;
   }
   ExpectStatsEqual(resp->stats, ref_stats);
 
@@ -391,12 +387,9 @@ TEST(FusionTest, ShutdownDrainsParkedFusionEntries) {
       const size_t qi = static_cast<size_t>(t * 31) % data.size();
       auto ids = client->RangeQueryOne("d", data.RowSpan(qi), 0.1);
       ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-      std::vector<PointId> expected;
-      ASSERT_TRUE(ref_flat
-                      ->RangeQuery(data.Row(static_cast<PointId>(qi)), 0.1,
-                                   &expected)
-                      .ok());
-      EXPECT_EQ(*ids, expected);
+      EXPECT_EQ(*ids, SortedTreeAnswer(*ref_flat,
+                                       data.Row(static_cast<PointId>(qi)),
+                                       0.1));
     });
   }
   // Give the requests time to park, then pull the plug.
@@ -426,7 +419,6 @@ TEST(FusionTest, FusionMetricsSurfaceInStatsRpc) {
 
   auto stats = live.client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_TRUE(stats->has_metrics);
   const obs::CounterSample* batches =
       stats->metrics.FindCounter("service.fusion.batches");
   ASSERT_NE(batches, nullptr);

@@ -1,7 +1,8 @@
 // Randomized differential tests of the cost-based range planner over the
-// wire: planner-routed exact answers must be bit-identical to forced
-// ekdb-flat answers (both canonical ascending order) at every worker count,
-// solo and under concurrent fused traffic; the recall-controlled LSH tier
+// wire: planner-routed exact answers, with or without the planner tag, must
+// be bit-identical to forced ekdb-flat answers (all in ascending id order)
+// at every worker count, solo and under concurrent fused traffic; the
+// recall-controlled LSH tier
 // must return a verified subset meeting its target; bad planner fields must
 // be rejected; repeated (epsilon, recall) pairs must hit the plan cache.
 
@@ -74,14 +75,6 @@ RangeQueryRequest QueriesFor(const std::string& name, const Dataset& data,
   return req;
 }
 
-std::vector<std::vector<PointId>> SortedResults(
-    std::vector<std::vector<PointId>> results) {
-  for (auto& ids : results) {
-    std::sort(ids.begin(), ids.end());
-  }
-  return results;
-}
-
 TEST(PlannerRoutingTest, RoutedExactIsBitIdenticalToForcedEkdbAcrossWorkers) {
   auto data = GenerateUniform({.n = 1500, .dims = 6, .seed = 0x41});
   ASSERT_TRUE(data.ok());
@@ -125,12 +118,12 @@ TEST(PlannerRoutingTest, RoutedExactIsBitIdenticalToForcedEkdbAcrossWorkers) {
           << "workers=" << workers << " round=" << round << " routed to "
           << BackendKindName(*kind);
 
-      // Legacy (plannerless) traffic still answers in traversal order with
-      // the same id sets and no extension fields.
-      auto legacy = live.client.RangeQuery(req);
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_FALSE(legacy->has_planner);
-      EXPECT_EQ(SortedResults(legacy->results), want->results);
+      // A request without the planner tag is planned the same way and
+      // answers the same bytes, without the planner echo.
+      auto untagged = live.client.RangeQuery(req);
+      ASSERT_TRUE(untagged.ok());
+      EXPECT_FALSE(untagged->has_planner);
+      EXPECT_EQ(untagged->results, want->results);
     }
   }
 }
@@ -170,8 +163,9 @@ TEST(PlannerRoutingTest, ConcurrentPlannerAndLegacyTrafficStaysConsistent) {
     }
   }
 
-  // Several connections fire planner-auto and legacy requests at once so
-  // the fusion collector sees mixed batches; every answer must match.
+  // Several connections fire planner-auto requests with and without the
+  // planner tag at once so the fusion collector sees mixed batches; every
+  // answer must match, in ascending id order.
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 4; ++t) {
@@ -196,9 +190,7 @@ TEST(PlannerRoutingTest, ConcurrentPlannerAndLegacyTrafficStaysConsistent) {
           ++failures;
           continue;
         }
-        const auto got = planner ? resp->results
-                                 : SortedResults(resp->results);
-        if (got != want[i]) {
+        if (resp->has_planner != planner || resp->results != want[i]) {
           ++failures;
         }
       }
@@ -240,45 +232,6 @@ TEST(PlannerRoutingTest, ForcedBackendsEchoAndAgreeOnGridPrimaryToo) {
     } else {
       EXPECT_EQ(resp->results, reference) << BackendKindName(kind);
     }
-  }
-}
-
-TEST(PlannerRoutingTest, ForcedRTreeIsBitIdenticalToRoutedExact) {
-  auto data = GenerateClustered({.n = 1000, .dims = 5, .seed = 0x52});
-  ASSERT_TRUE(data.ok());
-  const double eps = 0.1;
-  LiveServer live = StartWithClient();
-  ASSERT_TRUE(
-      live.client.BuildIndex(BuildRequestFor("r", *data, Config(eps))).ok());
-
-  for (const double query_eps : {eps, eps * 0.4}) {
-    RangeQueryRequest base = QueriesFor("r", *data, query_eps, 20, 0x717);
-    base.has_planner = true;
-
-    RangeQueryRequest forced_tree = base;
-    forced_tree.backend = static_cast<uint8_t>(BackendKind::kEkdbFlat);
-    auto want = live.client.RangeQuery(forced_tree);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-    // The R-tree is an auxiliary (never planner-chosen) backend; forcing it
-    // must echo the choice and return the identical canonical answers.
-    RangeQueryRequest forced_rtree = base;
-    forced_rtree.backend = static_cast<uint8_t>(BackendKind::kRTree);
-    auto got = live.client.RangeQuery(forced_rtree);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(got->has_planner);
-    EXPECT_EQ(got->backend_used, static_cast<uint8_t>(BackendKind::kRTree));
-    EXPECT_EQ(got->achieved_recall, 1.0);
-    EXPECT_EQ(got->results, want->results) << "eps=" << query_eps;
-
-    // Routed traffic must never pick the R-tree on its own.
-    RangeQueryRequest routed = base;
-    routed.backend = kWireBackendAuto;
-    auto auto_resp = live.client.RangeQuery(routed);
-    ASSERT_TRUE(auto_resp.ok());
-    EXPECT_NE(auto_resp->backend_used,
-              static_cast<uint8_t>(BackendKind::kRTree));
-    EXPECT_EQ(auto_resp->results, want->results);
   }
 }
 
@@ -421,9 +374,12 @@ TEST(PlannerRoutingTest, InvalidPlannerFieldsAreRejected) {
     EXPECT_FALSE(live.client.RangeQuery(req).ok())
         << "recall " << bad_recall;
   }
-  RangeQueryRequest bad_backend = good;
-  bad_backend.backend = 7;  // not a BackendKind, not the auto marker
-  EXPECT_FALSE(live.client.RangeQuery(bad_backend).ok());
+  // 4 is the retired R-tree value; 7 was never a BackendKind.
+  for (const uint8_t bad : {4, 7}) {
+    RangeQueryRequest bad_backend = good;
+    bad_backend.backend = bad;
+    EXPECT_FALSE(live.client.RangeQuery(bad_backend).ok()) << int{bad};
+  }
 
   // recall < 1 forced onto an exact backend is fine (it just stays exact),
   // but recall < 1 with Linf metric has no LSH family — auto must still

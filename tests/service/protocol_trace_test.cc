@@ -1,7 +1,7 @@
-// Wire tests for the observability extensions: the trace-context request
-// suffix (round trip on every request type, legacy byte-identity,
-// truncation at every byte), the EXPLAIN ANALYZE profile response
-// extension, and the Stats slow-query drain blocks.
+// Wire tests for the observability tags: kTrace on requests (round trip on
+// every request type, byte-identity without it, truncation at every byte),
+// kProfile on the EXPLAIN ANALYZE response, and kSlowlog on the Stats
+// response.
 
 #include <set>
 #include <vector>
@@ -11,6 +11,9 @@
 
 namespace simjoin {
 namespace {
+
+/// Bytes of one kTrace entry: tag, len, trace_id:u64 flags:u8.
+constexpr size_t kTraceEntryBytes = 1 + 4 + 9;
 
 TraceContext MakeTrace(uint64_t id = 0x1122334455667788ull,
                        uint8_t flags = kTraceFlagProfile) {
@@ -51,22 +54,22 @@ TEST(ProtocolTraceTest, AbsentContextLeavesPayloadByteIdentical) {
   req.epsilon = 0.1;
   req.dims = 1;
   req.queries = {0.5f};
-  const std::vector<uint8_t> legacy = EncodeRangeQueryRequest(req);
+  const std::vector<uint8_t> untraced = EncodeRangeQueryRequest(req);
   req.trace = MakeTrace();
   const std::vector<uint8_t> traced = EncodeRangeQueryRequest(req);
-  // The extension is purely additive: strip the 10-byte suffix and the
-  // remaining bytes are exactly the legacy frame.
-  ASSERT_EQ(traced.size(), legacy.size() + kWireTraceExtBytes);
-  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), traced.begin()));
-  EXPECT_EQ(traced.back(), kWireTraceMagic);
+  // The tag is purely additive: strip its entry and the remaining bytes are
+  // exactly the untraced payload.
+  ASSERT_EQ(traced.size(), untraced.size() + kTraceEntryBytes);
+  EXPECT_TRUE(std::equal(untraced.begin(), untraced.end(), traced.begin()));
+  EXPECT_EQ(traced[untraced.size()], static_cast<uint8_t>(WireTag::kTrace));
 
-  std::vector<uint8_t> via_append = legacy;
+  std::vector<uint8_t> via_append = untraced;
   AppendTraceContext(req.trace, &via_append);
   EXPECT_EQ(via_append, traced);
   // present == false makes AppendTraceContext a no-op.
-  std::vector<uint8_t> untouched = legacy;
+  std::vector<uint8_t> untouched = untraced;
   AppendTraceContext(TraceContext{}, &untouched);
-  EXPECT_EQ(untouched, legacy);
+  EXPECT_EQ(untouched, untraced);
 }
 
 TEST(ProtocolTraceTest, RangeQueryTraceRoundTripsWithAndWithoutPlanner) {
@@ -83,7 +86,7 @@ TEST(ProtocolTraceTest, RangeQueryTraceRoundTripsWithAndWithoutPlanner) {
   EXPECT_FALSE(out.has_planner);
   EXPECT_EQ(out.queries, req.queries);
 
-  // The trace suffix stacks after the planner extension.
+  // Both tags together.
   req.has_planner = true;
   req.recall = 0.8;
   RangeQueryRequest both;
@@ -107,7 +110,7 @@ TEST(ProtocolTraceTest, EveryRequestTypeCarriesTheSuffix) {
       ParseBuildIndexRequest(EncodeBuildIndexRequest(build), &build_out).ok());
   EXPECT_EQ(build_out.trace, trace);
 
-  // ... including stacked on BuildIndex's backend/on_disk tail bytes.
+  // ... including after BuildIndex's backend/on_disk bytes.
   build.on_disk = true;
   ASSERT_TRUE(
       ParseBuildIndexRequest(EncodeBuildIndexRequest(build), &build_out).ok());
@@ -149,62 +152,28 @@ TEST(ProtocolTraceTest, EveryRequestTypeCarriesTheSuffix) {
 }
 
 TEST(ProtocolTraceTest, TruncatedSuffixRejectedAtEveryByte) {
-  // The valid tail shapes after the float block are exactly {0, 9, 10, 19}
-  // bytes (legacy / planner / trace / both).  Truncating a trace suffix can
-  // therefore only land on "rejected" or on a *different valid shape* —
-  // never on a silently half-read trace.
+  // Every partial kTrace entry is a framing error; dropping the whole entry
+  // leaves the payload without the tag.
   RangeQueryRequest req;
   req.name = "t";
   req.epsilon = 0.1;
   req.dims = 2;
   req.queries = {0.1f, 0.2f};
   req.trace = MakeTrace();
-  const std::vector<uint8_t> full = EncodeRangeQueryRequest(req);
   RangeQueryRequest out;
-  // Surplus 10 -> drop 1 leaves surplus 9: structurally the planner
-  // extension (recall/backend get trace bytes; the server's semantic
-  // validation is what rejects the garbage recall).  The parse must not
-  // report a trace.
-  {
-    std::vector<uint8_t> cut(full.begin(), full.end() - 1);
-    ASSERT_TRUE(ParseRangeQueryRequest(cut, &out).ok());
+  for (const bool planner : {false, true}) {
+    req.has_planner = planner;
+    req.recall = 0.5;
+    const std::vector<uint8_t> full = EncodeRangeQueryRequest(req);
+    for (size_t drop = 1; drop < kTraceEntryBytes; ++drop) {
+      std::vector<uint8_t> cut(full.begin(), full.end() - drop);
+      EXPECT_FALSE(ParseRangeQueryRequest(cut, &out).ok()) << "drop " << drop;
+    }
+    std::vector<uint8_t> untraced(full.begin(), full.end() - kTraceEntryBytes);
+    ASSERT_TRUE(ParseRangeQueryRequest(untraced, &out).ok());
     EXPECT_FALSE(out.trace.present);
-    EXPECT_TRUE(out.has_planner);
+    EXPECT_EQ(out.has_planner, planner);
   }
-  // Every other partial suffix is a framing error.
-  for (size_t drop = 2; drop < kWireTraceExtBytes; ++drop) {
-    std::vector<uint8_t> cut(full.begin(), full.end() - drop);
-    EXPECT_FALSE(ParseRangeQueryRequest(cut, &out).ok()) << "drop " << drop;
-  }
-  // Stripping the whole suffix falls back to a legacy frame.
-  std::vector<uint8_t> legacy(full.begin(),
-                              full.end() - kWireTraceExtBytes);
-  ASSERT_TRUE(ParseRangeQueryRequest(legacy, &out).ok());
-  EXPECT_FALSE(out.trace.present);
-
-  // A corrupted magic byte is rejected, not misread as point data.
-  std::vector<uint8_t> bad_magic = full;
-  bad_magic.back() = 0x00;
-  EXPECT_FALSE(ParseRangeQueryRequest(bad_magic, &out).ok());
-
-  // With both extensions stacked (surplus 19), partial truncations down to
-  // the next valid shape are rejected: surplus 11..18 are not shapes, and
-  // surplus 10 (drop 9) fails the trace magic check because the tail byte
-  // is trace_id payload, not 'T'.
-  req.has_planner = true;
-  req.recall = 0.5;
-  const std::vector<uint8_t> both = EncodeRangeQueryRequest(req);
-  for (size_t drop = 1; drop <= 9; ++drop) {
-    std::vector<uint8_t> cut(both.begin(), both.end() - drop);
-    EXPECT_FALSE(ParseRangeQueryRequest(cut, &out).ok()) << "drop " << drop;
-  }
-  // Dropping the full 10-byte suffix leaves the intact planner frame.
-  std::vector<uint8_t> planner_only(both.begin(),
-                                    both.end() - kWireTraceExtBytes);
-  ASSERT_TRUE(ParseRangeQueryRequest(planner_only, &out).ok());
-  EXPECT_TRUE(out.has_planner);
-  EXPECT_EQ(out.recall, 0.5);
-  EXPECT_FALSE(out.trace.present);
 }
 
 TEST(ProtocolTraceTest, ProfileResponseExtensionRoundTrips) {
@@ -240,41 +209,23 @@ TEST(ProtocolTraceTest, ProfileExtensionTruncationRejected) {
   resp.has_profile = true;
   resp.profile = MakeProfile();
   const std::vector<uint8_t> full = EncodeRangeQueryResponse(resp);
-  const std::vector<uint8_t> legacy_bytes =
-      EncodeRangeQueryResponse([&] {
-        RangeQueryResponse r = resp;
-        r.has_profile = false;
-        return r;
-      }());
+  resp.has_profile = false;
+  const std::vector<uint8_t> unprofiled = EncodeRangeQueryResponse(resp);
   RangeQueryResponse out;
-  // The profile is detected from the tail magic + length field.  Nearly
-  // every truncation breaks that pairing and is rejected; in the rare case
-  // where a profile byte happens to be the magic AND the four bytes before
-  // it happen to spell a consistent length AND that prefix parses as a
-  // profile, the parse may succeed — but it can only ever misread the
-  // telemetry tail, never the result ids (the parser is bounds-checked and
-  // the results block is consumed before extension detection).
-  size_t accidental = 0;
-  for (size_t drop = 1; drop < full.size() - legacy_bytes.size(); ++drop) {
+  // The kProfile entry is length-prefixed, so every partial entry is
+  // rejected — the results block can never be misread.
+  for (size_t drop = 1; drop < full.size() - unprofiled.size(); ++drop) {
     std::vector<uint8_t> cut(full.begin(), full.end() - drop);
-    const Status st = ParseRangeQueryResponse(cut, &out);
-    if (st.ok()) {
-      ++accidental;
-      EXPECT_EQ(out.results, resp.results) << "drop " << drop;
-    }
+    EXPECT_FALSE(ParseRangeQueryResponse(cut, &out).ok()) << "drop " << drop;
   }
-  // Deterministic bytes: at most a couple of alignments exist in this
-  // encoding, and the overwhelming majority of truncations are rejected.
-  EXPECT_LE(accidental, 2u);
-  ASSERT_TRUE(ParseRangeQueryResponse(legacy_bytes, &out).ok());
+  ASSERT_TRUE(ParseRangeQueryResponse(unprofiled, &out).ok());
   EXPECT_FALSE(out.has_profile);
 
-  // A profile length field pointing outside the payload is rejected.
+  // A profile length pointing outside the payload is rejected.
   std::vector<uint8_t> bad_len = full;
-  const size_t len_at = bad_len.size() - kWireProfileFrameBytes;
-  bad_len[len_at] = 0xff;
-  bad_len[len_at + 1] = 0xff;
-  EXPECT_FALSE(ParseRangeQueryResponse(bad_len, &out).ok());
+  for (size_t i = 1; i <= 4; ++i) bad_len[unprofiled.size() + i] = 0xff;
+  EXPECT_EQ(ParseRangeQueryResponse(bad_len, &out).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(ProtocolTraceTest, ProfileParserRejectsHostileCounts) {
@@ -294,24 +245,24 @@ TEST(ProtocolTraceTest, ProfileParserRejectsHostileCounts) {
 }
 
 TEST(ProtocolTraceTest, StatsRequestLegacyAndDrainShapes) {
-  StatsRequest legacy;
-  EXPECT_TRUE(EncodeStatsRequest(legacy).empty());  // old servers accept it
+  // The flags byte is part of the fixed body: the empty payload of the
+  // first protocol revision is rejected.
   StatsRequest out;
-  ASSERT_TRUE(ParseStatsRequest({}, &out).ok());
-  EXPECT_FALSE(out.drain_slowlog);
+  EXPECT_FALSE(ParseStatsRequest({}, &out).ok());
 
-  StatsRequest drain;
-  drain.drain_slowlog = true;
-  const std::vector<uint8_t> bytes = EncodeStatsRequest(drain);
-  ASSERT_EQ(bytes.size(), 1u);
-  ASSERT_TRUE(ParseStatsRequest(bytes, &out).ok());
-  EXPECT_TRUE(out.drain_slowlog);
+  for (const bool drain : {false, true}) {
+    StatsRequest req;
+    req.drain_slowlog = drain;
+    const std::vector<uint8_t> bytes = EncodeStatsRequest(req);
+    ASSERT_EQ(bytes.size(), 1u);
+    ASSERT_TRUE(ParseStatsRequest(bytes, &out).ok());
+    EXPECT_EQ(out.drain_slowlog, drain);
+  }
 }
 
 TEST(ProtocolTraceTest, StatsResponseSlowlogBlockRoundTrips) {
   StatsResponse resp;
   resp.requests_admitted = 10;
-  resp.has_metrics = true;
   resp.has_slowlog = true;
   resp.slowlog_recorded = 5;
   resp.slowlog_evicted = 2;
@@ -335,7 +286,7 @@ TEST(ProtocolTraceTest, StatsResponseSlowlogBlockRoundTrips) {
   EXPECT_EQ(parsed.slowlog_recorded, 5u);
   EXPECT_EQ(parsed.slowlog_evicted, 2u);
 
-  // A rev-2 response (no slowlog block) still parses, flag off.
+  // Without the kSlowlog tag the flag is off.
   resp.has_slowlog = false;
   ASSERT_TRUE(ParseStatsResponse(EncodeStatsResponse(resp), &parsed).ok());
   EXPECT_FALSE(parsed.has_slowlog);
@@ -344,21 +295,20 @@ TEST(ProtocolTraceTest, StatsResponseSlowlogBlockRoundTrips) {
 
 TEST(ProtocolTraceTest, StatsSlowlogTruncationRejected) {
   StatsResponse resp;
-  resp.has_metrics = true;
   resp.has_slowlog = true;
   obs::SlowQueryEntry e;
   e.index = "x";
   e.profile = MakeProfile();
   resp.slowlog.push_back(e);
   const std::vector<uint8_t> full = EncodeStatsResponse(resp);
-  const size_t legacy_size = EncodeStatsResponse([&] {
+  const size_t undrained_size = EncodeStatsResponse([&] {
                                StatsResponse r = resp;
                                r.has_slowlog = false;
                                return r;
                              }())
                                  .size();
   StatsResponse out;
-  for (size_t drop = 1; drop < full.size() - legacy_size; ++drop) {
+  for (size_t drop = 1; drop < full.size() - undrained_size; ++drop) {
     std::vector<uint8_t> cut(full.begin(), full.end() - drop);
     EXPECT_FALSE(ParseStatsResponse(cut, &out).ok()) << "drop " << drop;
   }

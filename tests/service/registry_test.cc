@@ -223,7 +223,9 @@ TEST(RegistryUpdatableTest, DeltaGrowthEvictsOthersNeverItself) {
 class RegistrySegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    spill_dir_ = ::testing::TempDir() + "/registry_spill";
+    // One directory per test: ctest runs tests as parallel processes.
+    spill_dir_ = ::testing::TempDir() + "/registry_spill_" +
+                 ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::create_directories(spill_dir_);
   }
 

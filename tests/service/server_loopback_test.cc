@@ -1,8 +1,10 @@
 // Differential loopback tests: every result that crosses the wire must be
-// bit-identical to the in-process FlatEkdbTree APIs on the same data —
-// same neighbour id order, same join pair sequence, same JoinStats — at
-// every thread count.  The service adds transport, not semantics.
+// bit-identical to the in-process APIs on the same data — range answers of
+// the planned backend in ascending id order, the join pair sequence of the
+// flat tree, the same JoinStats — at every thread count.  The service adds
+// transport, not semantics.
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -12,6 +14,7 @@
 #include "core/ekdb_flat_join.h"
 #include "core/ekdb_tree.h"
 #include "service/client.h"
+#include "service/planned_reference.h"
 #include "service/server.h"
 #include "workload/generators.h"
 #include "gtest/gtest.h"
@@ -94,7 +97,6 @@ TEST(ServerLoopbackTest, StatsRpcRoundTripsEveryRegisteredMetric) {
   const obs::MetricsSnapshot before = obs::GlobalMetrics().Snapshot();
   auto stats = live.client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_TRUE(stats->has_metrics);
   const obs::MetricsSnapshot& wire = stats->metrics;
   for (const obs::CounterSample& c : before.counters) {
     const obs::CounterSample* got = wire.FindCounter(c.name);
@@ -136,17 +138,7 @@ TEST(ServerLoopbackTest, StatsRpcRoundTripsEveryRegisteredMetric) {
 TEST(ServerLoopbackTest, RangeQueryMatchesInProcessBitForBit) {
   const Dataset data = MakeData(500, 8, 11);
   const EkdbConfig config = Config(0.2);
-
-  // In-process reference.
-  auto ref_tree = EkdbTree::Build(data, config);
-  ASSERT_TRUE(ref_tree.ok());
-  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
-  ASSERT_TRUE(ref_flat.ok());
-
-  LiveServer live = StartWithClient();
-  auto built = live.client.BuildIndex(BuildRequestFor("d", data, config));
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built->num_points, 500u);
+  const PlannedReference ref(data, config, 0.15);
 
   RangeQueryRequest req;
   req.name = "d";
@@ -155,18 +147,25 @@ TEST(ServerLoopbackTest, RangeQueryMatchesInProcessBitForBit) {
   const size_t batch = 40;
   req.queries.assign(data.flat().begin(),
                      data.flat().begin() + batch * data.dims());
-  auto resp = live.client.RangeQuery(req);
-  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  ASSERT_EQ(resp->results.size(), batch);
 
-  JoinStats ref_stats;
-  for (size_t i = 0; i < batch; ++i) {
-    std::vector<PointId> expected;
-    ASSERT_TRUE(
-        ref_flat->RangeQuery(data.Row(i), 0.15, &expected, &ref_stats).ok());
-    EXPECT_EQ(resp->results[i], expected) << "query " << i;
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    ServerConfig server_config;
+    server_config.worker_threads = workers;
+    LiveServer live = StartWithClient(server_config);
+    auto built = live.client.BuildIndex(BuildRequestFor("d", data, config));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ(built->num_points, 500u);
+
+    auto resp = live.client.RangeQuery(req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->results.size(), batch);
+    JoinStats ref_stats;
+    for (size_t i = 0; i < batch; ++i) {
+      EXPECT_EQ(resp->results[i], ref.Query(data.Row(i), &ref_stats))
+          << "workers=" << workers << " query " << i;
+    }
+    ExpectStatsEqual(resp->stats, ref_stats);
   }
-  ExpectStatsEqual(resp->stats, ref_stats);
 }
 
 TEST(ServerLoopbackTest, SelfJoinMatchesInProcessAtEveryThreadCount) {
@@ -261,6 +260,7 @@ TEST(ServerLoopbackTest, ParallelClientsGetConsistentAnswers) {
         std::vector<PointId> expected;
         ASSERT_TRUE(
             ref_flat->RangeQuery(data.Row(qi), 0.08, &expected).ok());
+        std::sort(expected.begin(), expected.end());
         EXPECT_EQ(*ids, expected);
       }
     });

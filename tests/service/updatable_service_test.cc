@@ -461,7 +461,6 @@ TEST(UpdatableServiceTest, UpdateMetricsFlowThroughStatsRpc) {
 
   auto stats = live.client.GetStats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_TRUE(stats->has_metrics);
   const obs::MetricsSnapshot& wire = stats->metrics;
 
   const obs::CounterSample* inserts =

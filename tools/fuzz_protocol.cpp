@@ -3,7 +3,7 @@
 // The decoder is the one component that parses attacker-controlled bytes, so
 // its contract is absolute: any byte stream, fed in any chunking, either
 // yields valid frames or a Status — never a crash, hang, or out-of-bounds
-// read.  This tool soaks that contract six ways per iteration:
+// read.  This tool soaks that contract seven ways per iteration:
 //
 //   1. pure noise      — random bytes through the FrameDecoder
 //   2. round-trips     — random valid messages encode -> parse -> compare
@@ -16,14 +16,15 @@
 //                        own frames in order
 //   6. malformed updates — Insert/Remove/Flush payloads truncated at every
 //                        byte and with count/dims fields patched to extremes
-//   7. telemetry suffixes — trace-context request suffixes, the EXPLAIN
-//                        ANALYZE profile response extension, and the Stats
-//                        slow-log block truncated at every byte and with
-//                        magic/length/count fields patched to extremes
+//   7. tag lists       — random tag/len/value lists appended to valid
+//                        payloads of every message type: unknown tags (must
+//                        not change the parse outcome), lengths past the
+//                        payload end (must fail), duplicates, wrong lengths,
+//                        and random values of every known tag
 //
-// Random valid frames also attach trace contexts, response profiles, and
-// slow-log blocks with coin-flip probability, so every generic pass
-// (round-trip, bit flips, truncation) soaks the extended shapes too.
+// Random valid messages also carry every optional tag with coin-flip
+// probability, so every generic pass (round-trip, bit flips, truncation)
+// soaks the tagged shapes too.
 //
 // Payloads of frames the decoder does produce are handed to the matching
 // Parse* function, which must also only ever return a Status.  Run it under
@@ -56,9 +57,9 @@ std::vector<float> RandomFloats(Rng* rng, size_t count) {
   return v;
 }
 
-/// Half the request frames carry a trace context so the 10-byte suffix
-/// rides every generic pass; a quarter of those ask for a profile, and a
-/// few get hostile flag bytes (unknown bits must parse, not reject).
+/// Half the request frames carry a trace context so the kTrace tag rides
+/// every generic pass; a quarter of those ask for a profile, and a few get
+/// hostile flag bytes (unknown bits must parse, not reject).
 TraceContext MaybeTrace(Rng* rng) {
   TraceContext ctx;
   if (!rng->Bernoulli(0.5)) return ctx;
@@ -110,10 +111,14 @@ obs::SlowQueryEntry RandomSlowEntry(Rng* rng) {
   return e;
 }
 
-/// Encodes one random, structurally valid frame.
-std::vector<uint8_t> RandomValidFrame(Rng* rng) {
-  const uint64_t id = rng->Next();
-  const uint32_t deadline = static_cast<uint32_t>(rng->UniformInt(1000u));
+/// One message: frame type plus encoded payload.
+struct Message {
+  FrameType type;
+  std::vector<uint8_t> payload;
+};
+
+/// Encodes one random, structurally valid message.
+Message RandomValidMessage(Rng* rng) {
   switch (rng->UniformInt(15u)) {
     case 0: {
       BuildIndexRequest req;
@@ -122,12 +127,10 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
       req.dims = 1 + static_cast<uint32_t>(rng->UniformInt(8u));
       req.num_threads = static_cast<uint32_t>(rng->UniformInt(5u));
       req.points = RandomFloats(rng, req.dims * rng->UniformInt(64u));
-      // Half the builds select the non-default backend so the optional
-      // trailing backend byte rides the mutation and truncation passes.
       if (rng->Bernoulli(0.5)) req.backend = BackendKind::kEpsilonGrid;
+      req.on_disk = rng->Bernoulli(0.25);
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kBuildIndex, id, deadline,
-                         EncodeBuildIndexRequest(req));
+      return {FrameType::kBuildIndex, EncodeBuildIndexRequest(req)};
     }
     case 1: {
       RangeQueryRequest req;
@@ -135,24 +138,15 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
       req.epsilon = rng->Uniform(0.0, 0.5);
       req.dims = 1 + static_cast<uint32_t>(rng->UniformInt(8u));
       req.queries = RandomFloats(rng, req.dims * rng->UniformInt(16u));
-      // Half the queries carry the planner extension, and the recall field
-      // and backend byte mutate *together*: the parser keys the extension
-      // off an exact 9-byte surplus, so joint corruption is what probes the
-      // legacy/extension boundary (lone-byte flips only perturb one field).
       if (rng->Bernoulli(0.5)) {
         req.has_planner = true;
-        req.recall = rng->Bernoulli(0.25) ? rng->Uniform(-2.0, 2.0)
-                                          : rng->Uniform(0.05, 1.0);
-        req.backend = rng->Bernoulli(0.25)
-                          ? static_cast<uint8_t>(rng->UniformInt(256u))
+        req.recall = rng->Uniform(0.05, 1.0);
+        req.backend = rng->Bernoulli(0.2)
+                          ? kWireBackendAuto
                           : static_cast<uint8_t>(rng->UniformInt(4u));
-        if (rng->Bernoulli(0.2)) req.backend = kWireBackendAuto;
       }
-      // The trace suffix stacks after the planner tail, so mutated frames
-      // probe the {0, 9, 10, 19}-byte surplus disambiguation directly.
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kRangeQuery, id, deadline,
-                         EncodeRangeQueryRequest(req));
+      return {FrameType::kRangeQuery, EncodeRangeQueryRequest(req)};
     }
     case 2: {
       SimilarityJoinRequest req;
@@ -162,8 +156,7 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
       req.num_threads = static_cast<uint32_t>(rng->UniformInt(9u));
       req.chunk_pairs = static_cast<uint32_t>(rng->UniformInt(10000u));
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kSimilarityJoin, id, deadline,
-                         EncodeSimilarityJoinRequest(req));
+      return {FrameType::kSimilarityJoin, EncodeSimilarityJoinRequest(req)};
     }
     case 3: {
       std::vector<IdPair> pairs(rng->UniformInt(200u));
@@ -171,16 +164,14 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
         p.first = static_cast<PointId>(rng->UniformInt(1u << 20));
         p.second = static_cast<PointId>(rng->UniformInt(1u << 20));
       }
-      return EncodeFrame(FrameType::kJoinChunk, id, deadline,
-                         EncodeJoinChunk(pairs));
+      return {FrameType::kJoinChunk, EncodeJoinChunk(pairs)};
     }
     case 4: {
       JoinDone done;
       done.total_pairs = rng->Next();
       done.stats.candidate_pairs = rng->Next();
       done.stats.pairs_emitted = rng->Next();
-      return EncodeFrame(FrameType::kJoinDone, id, deadline,
-                         EncodeJoinDone(done));
+      return {FrameType::kJoinDone, EncodeJoinDone(done)};
     }
     case 5: {
       RangeQueryResponse resp;
@@ -195,13 +186,11 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
         resp.backend_used = static_cast<uint8_t>(rng->UniformInt(4u));
         resp.plan_cache_hit = rng->Bernoulli(0.5);
       }
-      // EXPLAIN ANALYZE extension, solo and stacked on the planner echo.
       if (rng->Bernoulli(0.5)) {
         resp.has_profile = true;
         resp.profile = RandomProfile(rng);
       }
-      return EncodeFrame(FrameType::kRangeQueryResult, id, deadline,
-                         EncodeRangeQueryResponse(resp));
+      return {FrameType::kRangeQueryResult, EncodeRangeQueryResponse(resp)};
     }
     case 6: {
       StatsResponse resp;
@@ -211,10 +200,9 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
         info.name = RandomName(rng);
         info.bytes = rng->Next();
       }
-      // Rev-2 metrics block: random counters, gauges, and histograms so the
-      // extended Stats payload is soaked through the same mutation and
-      // truncation passes as everything else.
-      resp.has_metrics = true;
+      // Random counters, gauges, and histograms so the metrics block is
+      // soaked through the same mutation and truncation passes as
+      // everything else.
       resp.metrics.counters.resize(rng->UniformInt(6u));
       for (obs::CounterSample& c : resp.metrics.counters) {
         c.name = RandomName(rng);
@@ -239,8 +227,8 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
         }
         h.sum = rng->Uniform(0.0, 1e6);
       }
-      // Rev-3 slow-log drain block, including the has_slowlog-but-empty
-      // answer a server without a configured log returns.
+      // The kSlowlog tag, including the empty drain a server without a
+      // configured log answers.
       if (rng->Bernoulli(0.5)) {
         resp.has_slowlog = true;
         resp.slowlog.resize(rng->UniformInt(4u));
@@ -248,18 +236,15 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
         resp.slowlog_recorded = rng->Next();
         resp.slowlog_evicted = rng->Next();
       }
-      return EncodeFrame(FrameType::kStatsResult, id, deadline,
-                         EncodeStatsResponse(resp));
+      return {FrameType::kStatsResult, EncodeStatsResponse(resp)};
     }
     case 7:
-      return EncodeFrame(FrameType::kError, id, deadline,
-                         EncodeErrorResponse(Status::NotFound(
-                             "fuzz " + RandomName(rng, 64))));
+      return {FrameType::kError, EncodeErrorResponse(Status::NotFound(
+                                     "fuzz " + RandomName(rng, 64)))};
     case 8: {
       DropIndexRequest req;
       req.name = RandomName(rng);
-      return EncodeFrame(FrameType::kDropIndex, id, deadline,
-                         EncodeDropIndexRequest(req));
+      return {FrameType::kDropIndex, EncodeDropIndexRequest(req)};
     }
     case 9: {
       InsertRequest req;
@@ -267,8 +252,7 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
       req.dims = 1 + static_cast<uint32_t>(rng->UniformInt(8u));
       req.rows = RandomFloats(rng, req.dims * (1 + rng->UniformInt(32u)));
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kInsert, id, deadline,
-                         EncodeInsertRequest(req));
+      return {FrameType::kInsert, EncodeInsertRequest(req)};
     }
     case 10: {
       RemoveRequest req;
@@ -282,15 +266,13 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
                 : static_cast<PointId>(rng->UniformInt(1u << 16));
       }
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kRemove, id, deadline,
-                         EncodeRemoveRequest(req));
+      return {FrameType::kRemove, EncodeRemoveRequest(req)};
     }
     case 11: {
       FlushRequest req;
       req.name = RandomName(rng);
       req.trace = MaybeTrace(rng);
-      return EncodeFrame(FrameType::kFlush, id, deadline,
-                         EncodeFlushRequest(req));
+      return {FrameType::kFlush, EncodeFlushRequest(req)};
     }
     case 12: {
       // Update responses ride the same mutation/truncation passes.
@@ -301,8 +283,7 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
           resp.count = static_cast<uint32_t>(rng->UniformInt(1u << 20));
           resp.delta_points = rng->Next();
           resp.tombstones = rng->Next();
-          return EncodeFrame(FrameType::kInsertOk, id, deadline,
-                             EncodeInsertResponse(resp));
+          return {FrameType::kInsertOk, EncodeInsertResponse(resp)};
         }
         case 1: {
           RemoveResponse resp;
@@ -310,8 +291,7 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
           resp.missing = static_cast<uint32_t>(rng->UniformInt(1u << 20));
           resp.delta_points = rng->Next();
           resp.tombstones = rng->Next();
-          return EncodeFrame(FrameType::kRemoveOk, id, deadline,
-                             EncodeRemoveResponse(resp));
+          return {FrameType::kRemoveOk, EncodeRemoveResponse(resp)};
         }
         default: {
           FlushResponse resp;
@@ -320,24 +300,26 @@ std::vector<uint8_t> RandomValidFrame(Rng* rng) {
           resp.delta_points = rng->Next();
           resp.tombstones = rng->Next();
           resp.index_bytes = rng->Next();
-          return EncodeFrame(FrameType::kFlushOk, id, deadline,
-                             EncodeFlushResponse(resp));
+          return {FrameType::kFlushOk, EncodeFlushResponse(resp)};
         }
       }
     }
     case 13: {
-      // Stats with the drain-slowlog flag byte (legacy empty payload is
-      // exercised by the default case below).
       StatsRequest req;
       req.drain_slowlog = rng->Bernoulli(0.75);
-      return EncodeFrame(FrameType::kStats, id, deadline,
-                         EncodeStatsRequest(req));
+      return {FrameType::kStats, EncodeStatsRequest(req)};
     }
     default:
-      return EncodeFrame(rng->Bernoulli(0.5) ? FrameType::kPing
-                                             : FrameType::kStats,
-                         id, deadline, {});
+      return {FrameType::kPing, {}};
   }
+}
+
+/// Encodes one random, structurally valid frame.
+std::vector<uint8_t> RandomValidFrame(Rng* rng) {
+  const Message msg = RandomValidMessage(rng);
+  return EncodeFrame(msg.type, rng->Next(),
+                     static_cast<uint32_t>(rng->UniformInt(1000u)),
+                     msg.payload);
 }
 
 /// Pass 6: hand-crafted malformed update payloads — the shapes a buggy or
@@ -398,213 +380,177 @@ void MalformedUpdateFrames(Rng* rng) {
   }
 }
 
-/// Pass 7: hand-crafted hostile telemetry suffixes.  Trace-context request
-/// suffixes, the profile response extension, and the Stats slow-log block
-/// are all tail-detected, so truncation at every byte and patched
-/// magic/length/count fields are exactly the shapes a confused proxy or a
-/// hostile client produces.  Every parse must return a Status; a crash or
-/// sanitizer report is the only failure.
-void HostileTelemetrySuffixes(Rng* rng) {
-  auto truncate_all = [](const std::vector<uint8_t>& payload, auto parse) {
-    for (size_t cut = 0; cut <= payload.size(); ++cut) {
-      parse(std::span<const uint8_t>(payload.data(), cut));
-    }
-  };
-  auto patch = [](std::vector<uint8_t> bytes, size_t off, uint8_t v) {
-    if (off < bytes.size()) bytes[off] = v;
-    return bytes;
-  };
-
-  // Traced RangeQuery, with and without the planner tail stacked under it.
-  for (const bool planner : {false, true}) {
-    RangeQueryRequest req;
-    req.name = RandomName(rng, 12);
-    req.epsilon = rng->Uniform(0.0, 0.5);
-    req.dims = 2;
-    req.queries = RandomFloats(rng, 2 * (1 + rng->UniformInt(4u)));
-    req.has_planner = planner;
-    req.trace.present = true;
-    req.trace.trace_id = rng->Next();
-    req.trace.flags = kTraceFlagProfile;
-    const std::vector<uint8_t> payload = EncodeRangeQueryRequest(req);
-    truncate_all(payload, [](std::span<const uint8_t> bytes) {
-      RangeQueryRequest out;
-      (void)ParseRangeQueryRequest(bytes, &out);
-    });
-    // Corrupt every byte of the 10-byte suffix, magic included.
-    for (size_t i = 1; i <= kWireTraceExtBytes; ++i) {
-      RangeQueryRequest out;
-      (void)ParseRangeQueryRequest(
-          patch(payload, payload.size() - i,
-                static_cast<uint8_t>(rng->Next())),
-          &out);
-    }
-  }
-
-  // Traced updates: the suffix rides payloads whose body length is
-  // name-driven rather than count*dims-driven.
-  {
-    FlushRequest req;
-    req.name = RandomName(rng, 12);
-    req.trace.present = true;
-    req.trace.trace_id = rng->Next();
-    truncate_all(EncodeFlushRequest(req), [](std::span<const uint8_t> bytes) {
-      FlushRequest out;
-      (void)ParseFlushRequest(bytes, &out);
-    });
-  }
-
-  // Profile response extension, solo and stacked on the planner echo.
-  for (const bool planner : {false, true}) {
-    RangeQueryResponse resp;
-    resp.results.resize(1 + rng->UniformInt(4u));
-    for (auto& ids : resp.results) ids.resize(rng->UniformInt(8u));
-    resp.has_planner = planner;
-    resp.has_profile = true;
-    resp.profile = RandomProfile(rng);
-    const std::vector<uint8_t> payload = EncodeRangeQueryResponse(resp);
-    truncate_all(payload, [](std::span<const uint8_t> bytes) {
-      RangeQueryResponse out;
-      (void)ParseRangeQueryResponse(bytes, &out);
-    });
-    // Patch the trailing magic and each byte of the length field.
-    for (size_t i = 1; i <= kWireProfileFrameBytes; ++i) {
-      RangeQueryResponse out;
-      (void)ParseRangeQueryResponse(
-          patch(payload, payload.size() - i,
-                static_cast<uint8_t>(rng->Next())),
-          &out);
-    }
-  }
-
-  // Slow-log drain block: truncate everywhere, then inflate the entry
-  // count to extremes against a short body (hostile-cap probe).
-  {
-    StatsResponse resp;
-    resp.requests_admitted = rng->Next();
-    resp.has_metrics = true;
-    resp.has_slowlog = true;
-    resp.slowlog.resize(1 + rng->UniformInt(3u));
-    for (obs::SlowQueryEntry& e : resp.slowlog) e = RandomSlowEntry(rng);
-    resp.slowlog_recorded = rng->Next();
-    resp.slowlog_evicted = rng->Next();
-    const std::vector<uint8_t> payload = EncodeStatsResponse(resp);
-    truncate_all(payload, [](std::span<const uint8_t> bytes) {
-      StatsResponse out;
-      (void)ParseStatsResponse(bytes, &out);
-    });
-    for (size_t i = 0; i < 32 && i < payload.size(); ++i) {
-      StatsResponse out;
-      (void)ParseStatsResponse(
-          patch(payload, payload.size() - 1 - i,
-                static_cast<uint8_t>(rng->Next())),
-          &out);
-    }
-  }
-}
-
-/// Routes a decoded frame's payload to its Parse function.  Statuses are
-/// fine; crashing is the only way to fail.
-void ParseByType(const Frame& frame) {
-  switch (frame.header.type) {
+/// Parses one payload with its type's Parse function.  Statuses are fine;
+/// crashing is the only way to fail.  Types without a payload contract
+/// (ping, pong, shutdown) parse as OK.
+Status ParseByType(FrameType type, std::span<const uint8_t> payload) {
+  switch (type) {
     case FrameType::kBuildIndex: {
       BuildIndexRequest m;
-      (void)ParseBuildIndexRequest(frame.payload, &m);
-      break;
+      return ParseBuildIndexRequest(payload, &m);
     }
     case FrameType::kRangeQuery: {
       RangeQueryRequest m;
-      (void)ParseRangeQueryRequest(frame.payload, &m);
-      break;
+      return ParseRangeQueryRequest(payload, &m);
     }
     case FrameType::kSimilarityJoin: {
       SimilarityJoinRequest m;
-      (void)ParseSimilarityJoinRequest(frame.payload, &m);
-      break;
+      return ParseSimilarityJoinRequest(payload, &m);
     }
     case FrameType::kDropIndex: {
       DropIndexRequest m;
-      (void)ParseDropIndexRequest(frame.payload, &m);
-      break;
+      return ParseDropIndexRequest(payload, &m);
     }
     case FrameType::kBuildIndexOk: {
       BuildIndexResponse m;
-      (void)ParseBuildIndexResponse(frame.payload, &m);
-      break;
+      return ParseBuildIndexResponse(payload, &m);
     }
     case FrameType::kRangeQueryResult: {
       RangeQueryResponse m;
-      (void)ParseRangeQueryResponse(frame.payload, &m);
-      break;
+      return ParseRangeQueryResponse(payload, &m);
     }
     case FrameType::kJoinChunk: {
       JoinChunk m;
-      (void)ParseJoinChunk(frame.payload, &m);
-      break;
+      return ParseJoinChunk(payload, &m);
     }
     case FrameType::kJoinDone: {
       JoinDone m;
-      (void)ParseJoinDone(frame.payload, &m);
-      break;
+      return ParseJoinDone(payload, &m);
     }
     case FrameType::kStatsResult: {
       StatsResponse m;
-      (void)ParseStatsResponse(frame.payload, &m);
-      break;
+      return ParseStatsResponse(payload, &m);
     }
     case FrameType::kDropIndexOk: {
       DropIndexResponse m;
-      (void)ParseDropIndexResponse(frame.payload, &m);
-      break;
+      return ParseDropIndexResponse(payload, &m);
     }
     case FrameType::kError: {
       Status m = Status::OK();
-      (void)ParseErrorResponse(frame.payload, &m);
-      break;
+      return ParseErrorResponse(payload, &m);
     }
     case FrameType::kRetryAfter: {
       RetryAfterResponse m;
-      (void)ParseRetryAfterResponse(frame.payload, &m);
-      break;
+      return ParseRetryAfterResponse(payload, &m);
     }
     case FrameType::kInsert: {
       InsertRequest m;
-      (void)ParseInsertRequest(frame.payload, &m);
-      break;
+      return ParseInsertRequest(payload, &m);
     }
     case FrameType::kRemove: {
       RemoveRequest m;
-      (void)ParseRemoveRequest(frame.payload, &m);
-      break;
+      return ParseRemoveRequest(payload, &m);
     }
     case FrameType::kFlush: {
       FlushRequest m;
-      (void)ParseFlushRequest(frame.payload, &m);
-      break;
+      return ParseFlushRequest(payload, &m);
     }
     case FrameType::kInsertOk: {
       InsertResponse m;
-      (void)ParseInsertResponse(frame.payload, &m);
-      break;
+      return ParseInsertResponse(payload, &m);
     }
     case FrameType::kRemoveOk: {
       RemoveResponse m;
-      (void)ParseRemoveResponse(frame.payload, &m);
-      break;
+      return ParseRemoveResponse(payload, &m);
     }
     case FrameType::kFlushOk: {
       FlushResponse m;
-      (void)ParseFlushResponse(frame.payload, &m);
-      break;
+      return ParseFlushResponse(payload, &m);
     }
     case FrameType::kStats: {
       StatsRequest m;
-      (void)ParseStatsRequest(frame.payload, &m);
-      break;
+      return ParseStatsRequest(payload, &m);
     }
     default:
-      break;  // ping/pong/shutdown frames carry no payload contract
+      return Status::OK();
   }
+}
+
+/// Appends one tag entry whose len field is `len` but whose value is
+/// `value` (they differ for overlong entries).
+void AppendEntry(uint8_t tag, uint32_t len, std::span<const uint8_t> value,
+                 std::vector<uint8_t>* payload) {
+  WireWriter w;
+  w.U8(tag);
+  w.U32(len);
+  w.Bytes(value.data(), value.size());
+  payload->insert(payload->end(), w.buffer().begin(), w.buffer().end());
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t max_len) {
+  std::vector<uint8_t> v(rng->UniformInt(max_len + 1));
+  for (uint8_t& b : v) b = static_cast<uint8_t>(rng->Next());
+  return v;
+}
+
+/// Pass 7: random tag lists appended to a valid payload of a random message
+/// type.  Tags are the only optional data on the wire, so this one pass
+/// covers every extension.
+bool TagLists(Rng* rng, uint64_t seed, uint64_t iter) {
+  const Message msg = RandomValidMessage(rng);
+  if (msg.type == FrameType::kPing) return true;  // no payload contract
+  const bool base_ok = ParseByType(msg.type, msg.payload).ok();
+
+  // Unknown tags (0 and everything past the known range) are skipped: the
+  // parse outcome must not change.
+  constexpr unsigned kLastKnownTag = static_cast<unsigned>(WireTag::kSlowlog);
+  std::vector<uint8_t> unknown = msg.payload;
+  for (size_t i = 0, n = 1 + rng->UniformInt(3u); i < n; ++i) {
+    const auto tag = static_cast<uint8_t>(
+        rng->Bernoulli(0.2)
+            ? 0
+            : kLastKnownTag + 1 + rng->UniformInt(255u - kLastKnownTag));
+    const std::vector<uint8_t> value = RandomBytes(rng, 24);
+    AppendEntry(tag, static_cast<uint32_t>(value.size()), value, &unknown);
+  }
+  if (ParseByType(msg.type, unknown).ok() != base_ok) {
+    std::cerr << "FAIL: unknown tags changed the parse outcome (seed=" << seed
+              << " iter=" << iter << ")\n";
+    return false;
+  }
+
+  // A len past the payload end must fail.
+  std::vector<uint8_t> overlong = msg.payload;
+  const std::vector<uint8_t> value = RandomBytes(rng, 16);
+  AppendEntry(static_cast<uint8_t>(rng->UniformInt(256u)),
+              static_cast<uint32_t>(value.size() + 1 +
+                                    rng->UniformInt(1u << 20)),
+              value, &overlong);
+  if (ParseByType(msg.type, overlong).ok()) {
+    std::cerr << "FAIL: overlong tag accepted (seed=" << seed
+              << " iter=" << iter << ")\n";
+    return false;
+  }
+
+  // Known tag numbers with random values, duplicates, wrong lengths, and
+  // extreme len fields, parsed whole and truncated at random points: only
+  // a Status may come back.
+  std::vector<uint8_t> hostile = msg.payload;
+  std::vector<uint8_t> last;
+  for (size_t i = 0, n = 1 + rng->UniformInt(4u); i < n; ++i) {
+    const size_t mark = hostile.size();
+    if (!last.empty() && rng->Bernoulli(0.3)) {
+      hostile.insert(hostile.end(), last.begin(), last.end());  // duplicate
+      continue;
+    }
+    const auto tag = static_cast<uint8_t>(rng->UniformInt(kLastKnownTag + 1));
+    // Lengths near the fixed value sizes (9 and 10) hit the wrong-length
+    // checks; larger random values reach the variable-length parsers.
+    const std::vector<uint8_t> v =
+        rng->Bernoulli(0.5) ? RandomBytes(rng, 12) : RandomBytes(rng, 256);
+    const uint32_t len = rng->Bernoulli(0.1)
+                             ? static_cast<uint32_t>(rng->Next())
+                             : static_cast<uint32_t>(v.size());
+    AppendEntry(tag, len, v, &hostile);
+    last.assign(hostile.begin() + static_cast<ptrdiff_t>(mark), hostile.end());
+  }
+  (void)ParseByType(msg.type, hostile);
+  for (int i = 0; i < 4; ++i) {
+    (void)ParseByType(msg.type, std::span<const uint8_t>(
+                                    hostile.data(),
+                                    rng->UniformInt(hostile.size() + 1)));
+  }
+  return true;
 }
 
 /// Feeds bytes to a decoder in random chunk sizes and parses whatever comes
@@ -621,7 +567,7 @@ void Soak(Rng* rng, std::span<const uint8_t> bytes) {
       Frame frame;
       bool got = false;
       if (!decoder.Next(&frame, &got).ok() || !got) break;
-      ParseByType(frame);
+      (void)ParseByType(frame.header.type, frame.payload);
     }
   }
 }
@@ -741,7 +687,7 @@ int Run(uint64_t iterations, uint64_t seed) {
           return 1;
         }
         if (!got) break;
-        ParseByType(frame);
+        (void)ParseByType(frame.header.type, frame.payload);
         ++decoded;
       }
       if (decoded != num_frames || decoder.buffered_bytes() != 0) {
@@ -775,8 +721,8 @@ int Run(uint64_t iterations, uint64_t seed) {
     // 6. Hand-crafted malformed update (insert/remove/flush) payloads.
     MalformedUpdateFrames(&rng);
 
-    // 7. Hostile trace/profile/slow-log suffixes.
-    HostileTelemetrySuffixes(&rng);
+    // 7. Random tag lists on every message type.
+    if (!TagLists(&rng, seed, iter)) return 1;
 
     if ((iter + 1) % 500 == 0) {
       std::cout << "iter " << (iter + 1) << ": " << frames_ok

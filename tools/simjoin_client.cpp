@@ -4,7 +4,6 @@
 //   ./tools/simjoin_client build --name base --data pts.bin --epsilon 0.1
 //   ./tools/simjoin_client query --name base --point 0.2,0.3,0.4
 //   ./tools/simjoin_client query --name base --point 0.2,0.3 --recall 0.9
-//   ./tools/simjoin_client query --name base --point 0.2,0.3 --plan
 //   ./tools/simjoin_client query --name base --point 0.2,0.3 --explain
 //   ./tools/simjoin_client join --name base --limit 20
 //   ./tools/simjoin_client insert --name live --point 0.2,0.3,0.4
@@ -286,11 +285,6 @@ int WatchStats(Client& client, int64_t interval_ms, int64_t count,
       std::cerr << resp.status().ToString() << "\n";
       return 1;
     }
-    if (!resp->has_metrics) {
-      std::cerr << "server does not export metrics (pre-rev-2 Stats "
-                   "payload); upgrade the server or use plain `stats`\n";
-      return 1;
-    }
     std::cout << "=== stats"
               << (have_prev
                       ? " (delta over " + std::to_string(interval_ms) + " ms)"
@@ -399,11 +393,9 @@ int Run(const ArgParser& args) {
       backend_byte = static_cast<uint8_t>(BackendKind::kLsh);
     } else if (qb == "brute") {
       backend_byte = static_cast<uint8_t>(BackendKind::kBruteSimd);
-    } else if (qb == "rtree") {
-      backend_byte = static_cast<uint8_t>(BackendKind::kRTree);
     } else if (qb != "auto") {
-      std::cerr << "--query-backend must be auto, tree, grid, lsh, "
-                   "brute, or rtree: got '"
+      std::cerr << "--query-backend must be auto, tree, grid, lsh, or "
+                   "brute: got '"
                 << qb << "'\n";
       return 2;
     }
@@ -412,10 +404,7 @@ int Run(const ArgParser& args) {
     req.epsilon = args.GetDouble("epsilon");
     req.dims = static_cast<uint32_t>(point.size());
     req.queries = point;
-    // The planner extension rides along only when asked for: default
-    // queries keep the legacy wire shape (and legacy response ordering).
-    req.has_planner = recall != 1.0 || backend_byte != kWireBackendAuto ||
-                      args.GetBool("plan");
+    req.has_planner = true;
     req.recall = recall;
     req.backend = backend_byte;
     const bool explain = args.GetBool("explain");
@@ -431,19 +420,12 @@ int Run(const ArgParser& args) {
       std::cout << ids.size() << " neighbours:";
       for (PointId id : ids) std::cout << " " << id;
       std::cout << "\n";
-      if (resp->has_planner) {
-        auto used = BackendKindFromWire(resp->backend_used);
-        std::cout << "planner: backend="
-                  << (used.ok() ? BackendKindName(*used) : "unknown")
-                  << " achieved_recall=" << resp->achieved_recall
-                  << (resp->plan_cache_hit ? " (plan cached)" : "") << "\n";
-      }
-      if (resp->has_profile) {
-        PrintProfile(resp->profile);
-      } else if (explain) {
-        std::cerr << "server returned no profile (pre-observability "
-                     "server?)\n";
-      }
+      auto used = BackendKindFromWire(resp->backend_used);
+      std::cout << "planner: backend="
+                << (used.ok() ? BackendKindName(*used) : "unknown")
+                << " achieved_recall=" << resp->achieved_recall
+                << (resp->plan_cache_hit ? " (plan cached)" : "") << "\n";
+      if (resp->has_profile) PrintProfile(resp->profile);
     }
   } else if (cmd == "join") {
     SimilarityJoinRequest req;
@@ -514,20 +496,13 @@ int Run(const ArgParser& args) {
     st = resp.status();
     if (resp.ok()) {
       PrintServerCounters(*resp);
-      if (resp->has_metrics) {
-        std::cout << "metrics:\n";
-        PrintMetrics(resp->metrics, args.GetString("filter"));
-      }
+      std::cout << "metrics:\n";
+      PrintMetrics(resp->metrics, args.GetString("filter"));
     }
   } else if (cmd == "slowlog") {
     auto resp = client->GetStats(/*drain_slowlog=*/true);
     st = resp.status();
     if (resp.ok()) {
-      if (!resp->has_slowlog) {
-        std::cerr << "server does not answer the slow-query extension "
-                     "(pre-observability Stats payload)\n";
-        return 1;
-      }
       std::cout << resp->slowlog.size() << " entries drained ("
                 << resp->slowlog_recorded << " recorded, "
                 << resp->slowlog_evicted << " evicted before draining)\n";
@@ -583,11 +558,8 @@ int main(int argc, char** argv) {
                "query only: recall target in (0, 1]; below 1 lets the "
                "server route to the recall-controlled LSH tier");
   args.AddFlag("query-backend", "auto",
-               "query only: force one backend (tree | grid | lsh | brute "
-               "| rtree) or auto for cost-based planning");
-  args.AddBoolFlag("plan", false,
-                   "query only: request cost-based planning (and the "
-                   "planner response fields) even at recall 1");
+               "query only: force one backend (tree | grid | lsh | brute) "
+               "or auto for cost-based planning");
   args.AddBoolFlag("explain", false,
                    "query only: EXPLAIN ANALYZE — run the query profiled "
                    "and print the server's per-phase breakdown");
