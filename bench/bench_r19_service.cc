@@ -59,9 +59,6 @@ int Run(const ArgParser& args) {
       static_cast<size_t>(args.GetInt("max-inflight")) != 0
           ? static_cast<size_t>(args.GetInt("max-inflight"))
           : clients;
-  // This bench tracks the per-request dispatch path; the fused path (which
-  // trades a wait budget for batch amortisation) has its own bench, r21.
-  server_config.fusion_enabled = false;
   auto server = Server::Start(server_config);
   if (!server.ok()) {
     std::cerr << "server start failed: " << server.status().ToString() << "\n";

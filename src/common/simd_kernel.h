@@ -11,7 +11,7 @@
 // margin of the threshold is re-tested with the exact double-precision
 // scalar kernel, so the surviving pair set is bit-identical to
 // DistanceKernel::WithinEpsilon for every input — on every dispatch tier,
-// which is what lets fused execution mix hosts and paths freely.
+// which is what lets callers mix hosts and paths freely.
 //
 // Set SIMJOIN_FORCE_SCALAR=1 in the environment to route every test through
 // the scalar reference kernel, or SIMJOIN_KERNEL_PATH=scalar|portable|avx2|

@@ -57,9 +57,9 @@ struct FlatEkdbNode {
   uint32_t subtree_points() const { return arena_end - arena_begin; }
 };
 
-/// One query of a fused batch: a point (dims floats, borrowed) and its
-/// radius.  The pointed-to coordinates must stay alive until the batch call
-/// returns.
+/// One query of a multi-query RangeQueryBatch call: a point (dims floats,
+/// borrowed) and its radius.  The pointed-to coordinates must stay alive
+/// until the batch call returns.
 struct RangeQuerySpec {
   const float* query = nullptr;
   double epsilon = 0.0;
@@ -210,18 +210,18 @@ class FlatEkdbTree {
   /// error and keep the rest of the batch alive.
   Status ValidateQueryEpsilon(double eps_query) const;
 
-  /// Answers `count` range queries in one fused arena pass: every query is
-  /// planned against the tree (identical traversal to RangeQuery), the
-  /// surviving leaf windows of all queries are sorted by arena position, and
-  /// the arena is swept once front to back with a single strided batch
-  /// kernel.  (*results)[i] receives exactly the ids — in exactly the order —
-  /// that RangeQuery(specs[i]) would have produced, and (*stats)[i], when
-  /// stats is non-null, receives exactly the JoinStats delta that solo query
-  /// would have recorded; both are resized to `count` and overwritten.  Any
-  /// invalid spec epsilon fails the whole batch up front (use
-  /// ValidateQueryEpsilon to pre-screen when per-query error isolation is
-  /// needed).  Runs on the calling thread only, so results do not depend on
-  /// any pool configuration.
+  /// Multi-query entry point: answers `count` range queries in one arena
+  /// pass.  Every query is planned against the tree (identical traversal to
+  /// RangeQuery), the surviving leaf windows of all queries are sorted by
+  /// arena position, and the arena is swept once front to back with a single
+  /// strided batch kernel.  (*results)[i] receives exactly the ids — in
+  /// exactly the order — that RangeQuery(specs[i]) would have produced, and
+  /// (*stats)[i], when stats is non-null, receives exactly the JoinStats
+  /// delta that query alone would have recorded; both are resized to `count`
+  /// and overwritten.  Any invalid spec epsilon fails the whole batch up
+  /// front (use ValidateQueryEpsilon to pre-screen when per-query error
+  /// isolation is needed).  Runs on the calling thread only, so results do
+  /// not depend on any pool configuration.
   Status RangeQueryBatch(const RangeQuerySpec* specs, size_t count,
                          std::vector<std::vector<PointId>>* results,
                          std::vector<JoinStats>* stats = nullptr) const;

@@ -1,10 +1,10 @@
-// Fused multi-query execution over the flat arena (FlatEkdbTree
+// Multi-query entry point over the flat arena (FlatEkdbTree
 // ::RangeQueryBatch).
 //
-// The solo RangeQuery walks the tree and sweeps each surviving leaf window
-// as it finds it, constructing a fresh kernel per query.  For a batch of
-// queries that repeats all the per-query fixed costs and visits the arena in
-// per-query order, so tiles pulled into cache for one query are usually
+// The single-query RangeQuery walks the tree and sweeps each surviving leaf
+// window as it finds it, constructing a fresh kernel per query.  For a batch
+// of queries that repeats all the per-query fixed costs and visits the arena
+// in per-query order, so tiles pulled into cache for one query are usually
 // evicted before the next query re-reads them.  This driver restructures the
 // same work into three passes:
 //
@@ -115,8 +115,8 @@ Status FlatEkdbTree::RangeQueryBatch(
         stack.push_back(c);
       }
     }
-    // Same traversal tally the solo path makes (keeps the bit-identity of
-    // per-query stats between fused and solo execution).
+    // Same traversal tally RangeQuery makes (keeps per-query stats
+    // bit-identical between the batch and single-query entry points).
     if (stats != nullptr) (*stats)[s].node_pairs_visited += nodes_visited;
   }
 

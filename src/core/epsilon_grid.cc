@@ -221,7 +221,7 @@ Status EpsilonGrid::RangeQueryBatch(const RangeQuerySpec* specs, size_t count,
     for (const auto& [wb, we] : windows) {
       tasks.push_back(GridSweepTask{wb, we, s, 0, 0});
     }
-    // Same window tally the solo path makes (fused/solo stat bit-identity).
+    // Same window tally RangeQuery makes (batch/single-query stat identity).
     if (stats != nullptr) (*stats)[s].node_pairs_visited += windows.size();
   }
 

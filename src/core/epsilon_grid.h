@@ -72,9 +72,9 @@ class EpsilonGrid {
   /// Same contract as FlatEkdbTree::ValidateQueryEpsilon.
   Status ValidateQueryEpsilon(double eps_query) const;
 
-  /// Fused batch execution with the same plan / sorted-sweep / scatter
-  /// structure — and the same bit-identity guarantee versus solo RangeQuery
-  /// calls — as FlatEkdbTree::RangeQueryBatch.
+  /// Multi-query entry point with the same plan / sorted-sweep / scatter
+  /// structure — and the same bit-identity guarantee versus single
+  /// RangeQuery calls — as FlatEkdbTree::RangeQueryBatch.
   Status RangeQueryBatch(const RangeQuerySpec* specs, size_t count,
                          std::vector<std::vector<PointId>>* results,
                          std::vector<JoinStats>* stats = nullptr) const;

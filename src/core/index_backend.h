@@ -4,8 +4,8 @@
 // wins across dimensionality/epsilon regimes, so the serving layer cannot
 // be married to one: IndexBackend abstracts "a structure built over one
 // dataset that answers epsilon range queries (and possibly self-joins)",
-// and everything above it — solo dispatch, the fusion collector, join
-// streaming, the cost-based planner — works against this interface only.
+// and everything above it — request dispatch, join streaming, the
+// cost-based planner — works against this interface only.
 //
 // Four concrete backends exist today:
 //   * EkdbFlatBackend  — the exact eps-k-d-B flat tree (the default),

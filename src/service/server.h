@@ -7,13 +7,14 @@
 // A small set of I/O threads each own a poll() loop over a disjoint subset
 // of connections: they read bytes, run the frame decoder, and flush queued
 // response bytes.  Complete request frames pass an admission gate — a
-// bounded count of in-flight requests — and are dispatched as tasks onto the
-// shared work-stealing ThreadPool, which executes them against immutable
-// IndexRegistry snapshots and enqueues response frames back on the
-// connection (waking its io thread through a self-pipe).  When the gate is
-// full the io thread answers kRetryAfter immediately instead of queueing —
-// overload sheds load in O(1) with a client-visible retry hint rather than
-// by letting latency grow without bound.  Each request may carry a deadline;
+// bounded count of in-flight requests — and each one, range queries
+// included, is dispatched as its own task onto the shared work-stealing
+// ThreadPool, which executes it against immutable IndexRegistry snapshots
+// and enqueues the response frames back on the connection (waking its io
+// thread through a self-pipe).  When the gate is full the io thread answers
+// kRetryAfter immediately instead of queueing — overload sheds load in O(1)
+// with a client-visible retry hint rather than by letting latency grow
+// without bound.  Each request may carry a deadline;
 // a request that expires while queued is answered kError/DEADLINE_EXCEEDED
 // without touching the index.
 //
@@ -94,25 +95,6 @@ struct ServerConfig {
   /// are discarded (counted in write_stall_disconnects).
   uint32_t write_stall_timeout_ms = 30'000;
 
-  /// Cross-connection range-query fusion.  Admitted kRangeQuery frames from
-  /// ALL connections land in one fusion buffer; a dedicated collector thread
-  /// flushes the buffer as one fused batch — grouped by planned backend and
-  /// executed with IndexBackend::RangeQueryBatch, which sorts the
-  /// constituent leaf sweeps by arena position and runs one SIMD kernel over
-  /// the whole batch — when either fusion_max_batch requests have
-  /// accumulated or the oldest one has waited fusion_wait_us microseconds.
-  /// Per-request responses are bit-identical to unfused execution (same
-  /// ascending ids, same JoinStats), so
-  /// fusion is purely a throughput/latency trade: under load, batches fill
-  /// and amortise traversal + kernel dispatch; when idle, a lone query pays
-  /// at most the wait budget.
-  bool fusion_enabled = true;
-  /// Flush when this many range queries are buffered (counts requests, each
-  /// of which may carry several query points).
-  size_t fusion_max_batch = 256;
-  /// Flush when the oldest buffered request has waited this long (µs).
-  uint32_t fusion_wait_us = 120;
-
   /// Slow-query log (docs/observability.md).  A request whose wall time
   /// (admission to response built) reaches this many microseconds — or that
   /// fails with any error — is recorded with its full phase profile into a
@@ -144,10 +126,13 @@ struct ServerCounters {
   uint64_t decode_errors = 0;
   uint64_t pairs_streamed = 0;
   uint64_t write_stall_disconnects = 0;
-  uint64_t fusion_batches = 0;       ///< fused batches executed
-  uint64_t fusion_fused_queries = 0; ///< range-query requests routed through fusion
-  uint64_t fusion_batch_full = 0;    ///< flushes triggered by a full buffer
-  uint64_t fusion_wait_expired = 0;  ///< flushes triggered by the wait budget
+  /// Always 0: nothing in the server sets them.  They remain only because
+  /// the repository benchmark (benchmark/load.cc, benchmark/ledger.cc)
+  /// still reads them.
+  uint64_t fusion_batches = 0;
+  uint64_t fusion_fused_queries = 0;
+  uint64_t fusion_batch_full = 0;
+  uint64_t fusion_wait_expired = 0;
 };
 
 /// Running service instance.  Start() binds and spins up the io threads;

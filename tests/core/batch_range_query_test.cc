@@ -1,7 +1,8 @@
 // Differential tests of fused batch range queries against independent solo
 // execution.  RangeQueryBatch promises bit-identical per-query id sequences
-// AND bit-identical per-query JoinStats, on every kernel dispatch tier — the
-// property the service-layer fusion engine is built on.
+// AND bit-identical per-query JoinStats, on every kernel dispatch tier, so
+// a caller may use the multi-query entry point or the single-query loop
+// interchangeably.
 
 #include <cstdlib>
 #include <string>
@@ -77,7 +78,7 @@ void RunDifferential(const FlatEkdbTree& flat,
   ASSERT_EQ(fused_stats.size(), specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     const std::string at = label + " query " + std::to_string(i);
-    // Exact sequence equality, not set equality: fusion must preserve the
+    // Exact sequence equality, not set equality: the batch must preserve the
     // solo traversal's emission order.
     EXPECT_EQ(solo[i], fused[i]) << at;
     ExpectSameStats(solo_stats[i], fused_stats[i], at);
@@ -159,7 +160,7 @@ TEST(BatchRangeQueryTest, RejectsInvalidSpecsUpFront) {
 }
 
 /// Duplicate specs (same pointer, same radius) must each get the full solo
-/// answer — fusion must not dedup or cross-wire queries.
+/// answer — the batch must not dedup or cross-wire queries.
 TEST(BatchRangeQueryTest, DuplicateQueriesEachGetFullResults) {
   const double eps = 0.2;
   const Dataset data = UniformData(600, 8, 0x33);

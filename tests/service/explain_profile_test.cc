@@ -1,9 +1,9 @@
 // Loopback tests for per-request observability: EXPLAIN ANALYZE profiles
 // must ride along without perturbing results (bit-identical ids to the
-// unprofiled request at every worker count, fused and unfused), the phase
-// tree must account for essentially all of the request's wall time and
-// name the backend that served it, and the slow-query log must capture
-// every over-threshold or failed request under concurrent load.
+// unprofiled request at every worker count), the phase tree must account
+// for essentially all of the request's wall time and name the backend that
+// served it, and the slow-query log must capture every over-threshold or
+// failed request under concurrent load.
 
 #include <atomic>
 #include <memory>
@@ -88,7 +88,7 @@ void ExpectWellFormedProfile(const obs::RequestProfile& p,
   ASSERT_NE(root, obs::kProfileNoParent);
   EXPECT_EQ(p.nodes[root].name, "service.range_query");
   // The root span covers the request end to end and its direct children
-  // (queue / resolve-or-parse / execute phases) account for >= 95% of it:
+  // (queue / parse / execute phases) account for >= 95% of it:
   // no invisible time.
   EXPECT_GE(p.nodes[root].wall_ns, p.total_wall_ns * 95 / 100);
   EXPECT_GE(p.ChildWallNanos(root), p.nodes[root].wall_ns * 95 / 100);
@@ -106,38 +106,33 @@ void ExpectWellFormedProfile(const obs::RequestProfile& p,
 TEST(ExplainProfileTest, ProfiledQueriesAreBitIdenticalAtEveryShape) {
   const Dataset data = MakeData(400, 6, 17);
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
-    for (const bool fusion : {false, true}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " fusion=" + std::to_string(fusion));
-      ServerConfig config;
-      config.worker_threads = workers;
-      config.fusion_enabled = fusion;
-      LiveServer live = StartWithClient(config);
-      ASSERT_TRUE(
-          live.client.BuildIndex(BuildRequestFor("idx", data, 0.2)).ok());
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ServerConfig config;
+    config.worker_threads = workers;
+    LiveServer live = StartWithClient(config);
+    ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("idx", data, 0.2)).ok());
 
-      for (const bool planner : {false, true}) {
-        RangeQueryRequest plain = QueryBatch(data, planner);
-        auto baseline = live.client.RangeQuery(plain);
-        ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-        EXPECT_FALSE(baseline->has_profile);
+    for (const bool planner : {false, true}) {
+      RangeQueryRequest plain = QueryBatch(data, planner);
+      auto baseline = live.client.RangeQuery(plain);
+      ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+      EXPECT_FALSE(baseline->has_profile);
 
-        RangeQueryRequest profiled = QueryBatch(data, planner);
-        profiled.trace.present = true;
-        profiled.trace.trace_id = GenerateTraceId();
-        profiled.trace.flags = kTraceFlagProfile;
-        auto traced = live.client.RangeQuery(profiled);
-        ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+      RangeQueryRequest profiled = QueryBatch(data, planner);
+      profiled.trace.present = true;
+      profiled.trace.trace_id = GenerateTraceId();
+      profiled.trace.flags = kTraceFlagProfile;
+      auto traced = live.client.RangeQuery(profiled);
+      ASSERT_TRUE(traced.ok()) << traced.status().ToString();
 
-        // Profiling must not perturb the answer.
-        EXPECT_EQ(traced->results, baseline->results);
-        ASSERT_TRUE(traced->has_profile);
-        ExpectWellFormedProfile(traced->profile, profiled.trace.trace_id);
-        // Some result row is nonempty, so the comparison is meaningful.
-        size_t total_ids = 0;
-        for (const auto& ids : baseline->results) total_ids += ids.size();
-        EXPECT_GT(total_ids, 0u);
-      }
+      // Profiling must not perturb the answer.
+      EXPECT_EQ(traced->results, baseline->results);
+      ASSERT_TRUE(traced->has_profile);
+      ExpectWellFormedProfile(traced->profile, profiled.trace.trace_id);
+      // Some result row is nonempty, so the comparison is meaningful.
+      size_t total_ids = 0;
+      for (const auto& ids : baseline->results) total_ids += ids.size();
+      EXPECT_GT(total_ids, 0u);
     }
   }
 }

@@ -1,10 +1,10 @@
 // Randomized differential tests of the cost-based range planner over the
 // wire: planner-routed exact answers, with or without the planner tag, must
 // be bit-identical to forced ekdb-flat answers (all in ascending id order)
-// at every worker count, solo and under concurrent fused traffic; the
-// recall-controlled LSH tier
-// must return a verified subset meeting its target; bad planner fields must
-// be rejected; repeated (epsilon, recall) pairs must hit the plan cache.
+// at every worker count, from one connection and from several concurrent
+// ones; the recall-controlled LSH tier must return a verified subset
+// meeting its target; bad planner fields must be rejected; repeated
+// (epsilon, recall) pairs must hit the plan cache.
 
 #include <algorithm>
 #include <atomic>
@@ -164,8 +164,7 @@ TEST(PlannerRoutingTest, ConcurrentPlannerAndLegacyTrafficStaysConsistent) {
   }
 
   // Several connections fire planner-auto requests with and without the
-  // planner tag at once so the fusion collector sees mixed batches; every
-  // answer must match, in ascending id order.
+  // planner tag at once; every answer must match, in ascending id order.
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 4; ++t) {

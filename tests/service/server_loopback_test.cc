@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -267,6 +268,185 @@ TEST(ServerLoopbackTest, ParallelClientsGetConsistentAnswers) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(live.server->counters().decode_errors, 0u);
+}
+
+// Many connections issue overlapping multi-query requests at once; every
+// answer must still equal the in-process planned backend, per query and per
+// JoinStats, at 1/2/4 worker threads.
+TEST(ServerLoopbackTest, ManyConnectionsMatchReferenceAtEveryWorkerCount) {
+  const Dataset data = MakeData(500, 8, 11);
+  const EkdbConfig config = Config(0.2);
+  const PlannedReference ref(data, config, 0.15);
+
+  constexpr size_t kConnections = 8;
+  constexpr size_t kRequestsPerConnection = 4;
+  constexpr size_t kQueriesPerRequest = 16;
+
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
+    ServerConfig server_config;
+    server_config.io_threads = 2;
+    server_config.worker_threads = workers;
+    LiveServer live = StartWithClient(server_config);
+    ASSERT_TRUE(
+        live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+
+    const uint16_t port = live.server->port();
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kConnections; ++t) {
+      clients.emplace_back([&, t]() {
+        ClientConfig cc;
+        cc.port = port;
+        auto client = Client::Connect(cc);
+        ASSERT_TRUE(client.ok());
+        for (size_t r = 0; r < kRequestsPerConnection; ++r) {
+          RangeQueryRequest req;
+          req.name = "d";
+          req.epsilon = 0.15;
+          req.dims = static_cast<uint32_t>(data.dims());
+          std::vector<PointId> rows(kQueriesPerRequest);
+          for (size_t q = 0; q < kQueriesPerRequest; ++q) {
+            rows[q] = static_cast<PointId>((t * 131 + r * 17 + q) %
+                                           data.size());
+            const float* row = data.Row(rows[q]);
+            req.queries.insert(req.queries.end(), row, row + data.dims());
+          }
+          auto resp = client->RangeQuery(req);
+          ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+          ASSERT_EQ(resp->results.size(), kQueriesPerRequest);
+          JoinStats ref_stats;
+          for (size_t q = 0; q < kQueriesPerRequest; ++q) {
+            EXPECT_EQ(resp->results[q], ref.Query(data.Row(rows[q]),
+                                                  &ref_stats))
+                << "workers=" << workers << " conn=" << t << " query=" << q;
+          }
+          ExpectStatsEqual(resp->stats, ref_stats);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(live.server->counters().decode_errors, 0u);
+  }
+}
+
+// The SIMD dispatch tiers (portable / AVX2 / AVX-512) are selected at
+// kernel construction via SIMJOIN_KERNEL_PATH; all of them must produce
+// the same wire responses down to the JoinStats.  On hosts without the
+// wider ISA the pin degrades one tier at a time, so the test still
+// compares three (possibly coinciding) executions.
+TEST(ServerLoopbackTest, DispatchTiersAgreeBitForBit) {
+  const Dataset data = MakeData(400, 16, 29);
+  const EkdbConfig config = Config(0.3);
+  LiveServer live = StartWithClient();
+  ASSERT_TRUE(
+      live.client.BuildIndex(BuildRequestFor("d", data, config)).ok());
+
+  RangeQueryRequest req;
+  req.name = "d";
+  req.epsilon = 0.25;
+  req.dims = static_cast<uint32_t>(data.dims());
+  const size_t batch = 64;
+  req.queries.assign(data.flat().begin(),
+                     data.flat().begin() + batch * data.dims());
+
+  std::vector<std::vector<std::vector<PointId>>> per_tier_results;
+  std::vector<JoinStats> per_tier_stats;
+  for (const char* tier : {"portable", "avx2", "avx512"}) {
+    ASSERT_EQ(setenv("SIMJOIN_KERNEL_PATH", tier, /*overwrite=*/1), 0);
+    auto resp = live.client.RangeQuery(req);
+    ASSERT_TRUE(resp.ok()) << tier << ": " << resp.status().ToString();
+    per_tier_results.push_back(resp->results);
+    per_tier_stats.push_back(resp->stats);
+  }
+  ASSERT_EQ(unsetenv("SIMJOIN_KERNEL_PATH"), 0);
+
+  for (size_t i = 1; i < per_tier_results.size(); ++i) {
+    EXPECT_EQ(per_tier_results[i], per_tier_results[0]) << "tier " << i;
+    ExpectStatsEqual(per_tier_stats[i], per_tier_stats[0]);
+  }
+
+  // And the tiers agree with the scalar reference on the ids themselves.
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+  ASSERT_EQ(setenv("SIMJOIN_KERNEL_PATH", "scalar", 1), 0);
+  for (size_t q = 0; q < batch; ++q) {
+    std::vector<PointId> expected;
+    ASSERT_TRUE(ref_flat->RangeQuery(data.Row(static_cast<PointId>(q)), 0.25,
+                                     &expected)
+                    .ok());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(per_tier_results[0][q], expected) << "query " << q;
+  }
+  ASSERT_EQ(unsetenv("SIMJOIN_KERNEL_PATH"), 0);
+}
+
+// An epsilon-grid index built over the wire answers range queries exactly
+// like the in-process planned backend over a grid primary, and joins
+// against it run on a lazily built flat-tree auxiliary — same pairs as a
+// tree-primary index, no error — for self-joins and for cross-joins naming
+// the grid index on either side.
+TEST(ServerLoopbackTest, GridBackendServesQueriesAndJoinsViaTreeFallback) {
+  const Dataset data = MakeData(600, 3, 41);
+  const EkdbConfig config = Config(0.15);
+  const PlannedReference ref(data, config, 0.12, BackendKind::kEpsilonGrid);
+
+  LiveServer live = StartWithClient();
+  BuildIndexRequest build = BuildRequestFor("g", data, config);
+  build.backend = BackendKind::kEpsilonGrid;
+  auto built = live.client.BuildIndex(build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  RangeQueryRequest req;
+  req.name = "g";
+  req.epsilon = 0.12;
+  req.dims = static_cast<uint32_t>(data.dims());
+  const size_t batch = 32;
+  req.queries.assign(data.flat().begin(),
+                     data.flat().begin() + batch * data.dims());
+  auto resp = live.client.RangeQuery(req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_EQ(resp->results.size(), batch);
+  JoinStats ref_stats;
+  for (size_t q = 0; q < batch; ++q) {
+    EXPECT_EQ(resp->results[q],
+              ref.Query(data.Row(static_cast<PointId>(q)), &ref_stats))
+        << "query " << q;
+  }
+  ExpectStatsEqual(resp->stats, ref_stats);
+
+  // Self-join on the grid index streams the same pairs the flat tree
+  // produces in-process (the server joins on its lazily built tree aux).
+  auto ref_tree = EkdbTree::Build(data, config);
+  ASSERT_TRUE(ref_tree.ok());
+  auto ref_flat = FlatEkdbTree::FromTree(*ref_tree);
+  ASSERT_TRUE(ref_flat.ok());
+  VectorSink ref_sink;
+  ASSERT_TRUE(FlatEkdbSelfJoin(*ref_flat, &ref_sink).ok());
+
+  SimilarityJoinRequest join;
+  join.name_a = "g";
+  VectorSink sink;
+  auto done = live.client.SimilarityJoin(join, &sink);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(sink.pairs(), ref_sink.pairs());
+
+  // A cross-join naming the grid index on either side works the same way
+  // (grid aux tree vs. tree primary over identical data = self-join pairs,
+  // both orientations).
+  ASSERT_TRUE(live.client.BuildIndex(BuildRequestFor("t", data, config)).ok());
+  join.name_a = "t";
+  join.name_b = "g";
+  VectorSink cross_sink;
+  done = live.client.SimilarityJoin(join, &cross_sink);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+
+  join.name_a = "g";
+  join.name_b = "t";
+  VectorSink cross_sink2;
+  done = live.client.SimilarityJoin(join, &cross_sink2);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(cross_sink.pairs(), cross_sink2.pairs());
 }
 
 TEST(ServerLoopbackTest, ErrorPaths) {
@@ -543,6 +723,46 @@ TEST(ServerLoopbackTest, ShutdownDrainsCleanly) {
   live.server->Wait();
   // After the drain, new connections are refused.
   EXPECT_FALSE(Client::Connect({.port = live.server->port()}).ok());
+}
+
+// Shutdown while requests are still executing: every request admitted
+// before the stop still gets its exact answer, Wait() returns, and new
+// connections are refused afterwards.
+TEST(ServerLoopbackTest, ShutdownAnswersInFlightRequestsExactly) {
+  ServerConfig config;
+  config.handler_delay_ms_for_testing = 200;  // keeps requests in flight
+  LiveServer live = StartWithClient(config);
+  const Dataset data = MakeData(200, 4, 13);
+  const PlannedReference ref(data, Config(0.2), 0.1);
+  ASSERT_TRUE(
+      live.client.BuildIndex(BuildRequestFor("d", data, Config(0.2))).ok());
+
+  constexpr uint64_t kQueries = 4;
+  const uint16_t port = live.server->port();
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kQueries; ++t) {
+    threads.emplace_back([&, t]() {
+      auto client = Client::Connect({.port = port});
+      ASSERT_TRUE(client.ok());
+      const PointId qi = static_cast<PointId>((t * 31) % data.size());
+      auto ids = client->RangeQueryOne("d", data.RowSpan(qi), 0.1);
+      ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+      EXPECT_EQ(*ids, ref.Query(data.Row(qi)));
+    });
+  }
+  // Pull the plug once every query is admitted (the build is the first
+  // admitted request); the handler delay keeps them executing.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (live.server->counters().requests_admitted < 1 + kQueries &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(live.client.Shutdown().ok());
+  for (std::thread& t : threads) t.join();
+  live.server->Wait();
+  // After the drain, new connections are refused.
+  EXPECT_FALSE(Client::Connect({.port = port}).ok());
 }
 
 }  // namespace

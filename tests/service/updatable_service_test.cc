@@ -253,9 +253,9 @@ TEST(UpdatableServiceTest, ConcurrentClientsUpdateAndQueryConsistently) {
   ASSERT_TRUE(
       live.client.BuildIndex(UpdatableBuildRequest("u", data, config)).ok());
 
-  // One updating connection races three querying connections (the fused
-  // collector path batches across them).  Results under the race are only
-  // checked for internal consistency; exactness is asserted afterwards.
+  // One updating connection races three querying connections.  Results
+  // under the race are only checked for internal consistency; exactness is
+  // asserted afterwards.
   const uint16_t port = live.server->port();
   std::thread updater([&]() {
     ClientConfig cc;

@@ -11,9 +11,9 @@
 //   4. truncations     — valid frames cut off at every kind of boundary
 //   5. interleaving    — pipelined RangeQuery frames from several simulated
 //                        connections, delivered in arbitrarily interleaved
-//                        chunks (the arrival pattern the fusion collector
-//                        batches across), each stream decoding exactly its
-//                        own frames in order
+//                        chunks (the arrival pattern of many concurrent
+//                        clients), each stream decoding exactly its own
+//                        frames in order
 //   6. malformed updates — Insert/Remove/Flush payloads truncated at every
 //                        byte and with count/dims fields patched to extremes
 //   7. tag lists       — random tag/len/value lists appended to valid
@@ -576,8 +576,8 @@ void Soak(Rng* rng, std::span<const uint8_t> bytes) {
 /// frames; delivery interleaves random-sized chunks across the connections
 /// (each into its own decoder, like the io loop's per-connection buffers).
 /// Every decoder must reproduce exactly its own frames, in order, with the
-/// request ids and query payloads intact — the invariant the fusion
-/// collector's cross-connection batching rests on.
+/// request ids and query payloads intact — the invariant that lets one io
+/// thread serve many pipelining connections.
 bool InterleavedPipelines(Rng* rng, uint64_t seed, uint64_t iter) {
   struct SimConn {
     std::vector<uint8_t> stream;            // all frames, concatenated
