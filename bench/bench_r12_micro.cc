@@ -1,11 +1,16 @@
 // Experiment R12 — micro-kernels (google-benchmark).
 //
 // The primitive costs everything else is built from: distance kernels per
-// metric and dimensionality (full vs early-exit), stripe indexing, tree
-// builds, and leaf sweeps.  These are throughput numbers, not figure
-// reproductions; they calibrate the absolute scale of R1..R11.
+// metric and dimensionality (full vs early-exit), the batch filter on both
+// layouts (row-major tiles and the flat tree's dims-major column runs),
+// stripe indexing, tree builds, and leaf sweeps.  These are throughput
+// numbers, not figure reproductions; they calibrate the absolute scale of
+// R1..R11.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -182,6 +187,74 @@ void BM_KernelFilterPortable(benchmark::State& state) {
                           static_cast<int64_t>(kFilterTile));
 }
 BENCHMARK(BM_KernelFilterPortable)->Arg(4)->Arg(16)->Arg(64);
+
+// Row-major strided tiles on one pinned tier (arg 0: KernelPath), L2, at
+// the dimensionalities whose dims % 16 remainder the AVX-512 tier scores
+// with 256-bit and masked steps.  The auto tier must not trail avx2 here.
+void BM_KernelFilterStridedTier(benchmark::State& state) {
+  const auto path = static_cast<KernelPath>(state.range(0));
+  const size_t dims = static_cast<size_t>(state.range(1));
+  const FilterFixture fx(dims, 11);
+  BatchDistanceKernel kernel(Metric::kL2, dims, 0.5, path);
+  uint8_t mask[kFilterTile];
+  size_t base = 0;
+  for (auto _ : state) {
+    const float* query = fx.rows[base % 1024];
+    const float* tile = fx.rows[(base * 7 + 1) % (1024 - kFilterTile)];
+    benchmark::DoNotOptimize(kernel.FilterWithinEpsilonStrided(
+        query, tile, dims, kFilterTile, mask));
+    ++base;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kFilterTile));
+  state.SetLabel(std::to_string(static_cast<int>(kernel.path())));
+}
+BENCHMARK(BM_KernelFilterStridedTier)
+    ->ArgsProduct({{static_cast<long>(KernelPath::kAuto),
+                    static_cast<long>(KernelPath::kPortable),
+                    static_cast<long>(KernelPath::kAvx2),
+                    static_cast<long>(KernelPath::kAvx512)},
+                   {8, 12, 16, 24}});
+
+// Candidate-parallel column runs (the flat tree's leaf layout) on one
+// pinned tier (arg 0: KernelPath), L2: runs of 25 candidates — the
+// selfjoin workload's mean window — inside 48-row dims-major leaf blocks,
+// so the column stride differs from the run length as it does in a leaf.
+void BM_KernelFilterColumns(benchmark::State& state) {
+  const auto path = static_cast<KernelPath>(state.range(0));
+  const size_t dims = static_cast<size_t>(state.range(1));
+  constexpr size_t kLeaf = 48;
+  constexpr size_t kRun = 25;
+  const Dataset data = MakePoints(1024, dims, 11);
+  const size_t blocks = data.size() / kLeaf;
+  std::vector<float> cols(blocks * kLeaf * dims);
+  for (size_t b = 0; b < blocks; ++b) {
+    for (size_t r = 0; r < kLeaf; ++r) {
+      const float* row = data.Row(static_cast<PointId>(b * kLeaf + r));
+      for (size_t k = 0; k < dims; ++k) {
+        cols[b * kLeaf * dims + k * kLeaf + r] = row[k];
+      }
+    }
+  }
+  BatchDistanceKernel kernel(Metric::kL2, dims, 0.5, path);
+  size_t base = 0;
+  for (auto _ : state) {
+    const float* query = data.Row(static_cast<PointId>(base % 1024));
+    const float* block = cols.data() + (base * 7 % blocks) * kLeaf * dims;
+    benchmark::DoNotOptimize(kernel.FilterWithinEpsilonColumns(
+        query, block + base % (kLeaf - kRun), kLeaf, kRun));
+    ++base;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRun));
+  state.SetLabel(std::to_string(static_cast<int>(kernel.path())));
+}
+BENCHMARK(BM_KernelFilterColumns)
+    ->ArgsProduct({{static_cast<long>(KernelPath::kScalar),
+                    static_cast<long>(KernelPath::kPortable),
+                    static_cast<long>(KernelPath::kAvx2),
+                    static_cast<long>(KernelPath::kAvx512)},
+                   {4, 8, 16, 32}});
 
 void BM_EkdbBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

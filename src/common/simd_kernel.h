@@ -2,16 +2,24 @@
 // join hot path is built on.
 //
 // The scalar DistanceKernel tests one candidate at a time, widening each
-// float coordinate to double.  The BatchDistanceKernel here filters a whole
-// tile of candidate rows against one query point in a single call, using
-// float accumulation (unrolled portable loop, AVX2+FMA, or AVX-512 — the
-// widest tier the CPU supports is picked at runtime) compared against the
-// threshold in float space.  Exactness is preserved by a rescue band: a
-// candidate whose float score lands within the accumulated rounding-error
-// margin of the threshold is re-tested with the exact double-precision
-// scalar kernel, so the surviving pair set is bit-identical to
-// DistanceKernel::WithinEpsilon for every input — on every dispatch tier,
-// which is what lets callers mix hosts and paths freely.
+// float coordinate to double.  The BatchDistanceKernel here filters many
+// candidates against one query point in a single call, using float
+// accumulation (unrolled portable loop, AVX2+FMA, or AVX-512 — the widest
+// tier the CPU supports is picked at runtime) compared against the
+// threshold in float space.  Two layouts are served:
+//
+//  * row-major tiles (gathered row pointers or a fixed stride): each vector
+//    holds dims of one candidate and is summed across lanes;
+//  * dims-major column runs (the flat tree's leaf blocks): each vector
+//    lane holds one candidate, 16 (AVX-512) or 8 (AVX2) candidates are
+//    scored in lockstep, and the survivors come back as a bitmask.
+//
+// Exactness is preserved by a rescue band: a candidate whose float score
+// lands within the accumulated rounding-error margin of the threshold is
+// re-tested with the exact double-precision scalar kernel, so the surviving
+// pair set is bit-identical to DistanceKernel::WithinEpsilon for every
+// input — on every dispatch tier and layout, which is what lets callers mix
+// hosts and paths freely.  See docs/kernels.md for the margin derivation.
 //
 // Set SIMJOIN_FORCE_SCALAR=1 in the environment to route every test through
 // the scalar reference kernel, or SIMJOIN_KERNEL_PATH=scalar|portable|avx2|
@@ -22,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/metric.h"
 #include "common/pair_sink.h"
@@ -69,6 +78,20 @@ class BatchDistanceKernel {
                                     size_t stride, size_t count,
                                     uint8_t* out_mask,
                                     const float* prefetch = nullptr);
+
+  /// Most candidates one FilterWithinEpsilonColumns call scores: one bit
+  /// each in the returned mask.
+  static constexpr size_t kColumnRunCapacity = 64;
+
+  /// Candidate-parallel filter over dims-major storage: coordinate k of
+  /// candidate i is cols[k * col_stride + i], for i in [0, count) and
+  /// count <= kColumnRunCapacity.  Bit i of the result is set iff
+  /// dist(query, candidate i) <= eps — bit-identical to the scalar
+  /// WithinEpsilon per candidate.  Each column is read only at
+  /// [k * col_stride, k * col_stride + count): vector tails use masked
+  /// loads, so a run may end exactly at the end of a mapping.
+  uint64_t FilterWithinEpsilonColumns(const float* query, const float* cols,
+                                      size_t col_stride, size_t count);
 
   /// Counts candidates within eps without producing a mask.
   size_t CountWithinEpsilon(const float* query, const float* const* rows,
@@ -124,6 +147,16 @@ class BatchDistanceKernel {
                         uint8_t* out_mask);
   /// Resolves one candidate whose float score fell inside the rescue band.
   bool Rescue(const float* query, const float* row);
+  /// Rescue for candidate i of a dims-major run: gathers its row first.
+  bool RescueColumn(const float* query, const float* cols, size_t col_stride,
+                    size_t i);
+
+  /// Scores a column run (count <= kColumnRunCapacity) in float and reports
+  /// two lane masks: score <= threshold, and score inside the rescue band.
+  using ColumnScorer = void (*)(const float* query, const float* cols,
+                                size_t col_stride, size_t count, size_t dims,
+                                float threshold, float margin,
+                                uint64_t* below, uint64_t* band);
 
   DistanceKernel scalar_;
   size_t dims_;
@@ -131,6 +164,8 @@ class BatchDistanceKernel {
   float threshold_;  ///< eps in float space (eps^2 for L2)
   float margin_;     ///< half-width of the rescue band around threshold_
   KernelPath path_;
+  ColumnScorer column_scorer_ = nullptr;  ///< null on the scalar path
+  std::vector<float> gathered_row_;  ///< RescueColumn scratch, grown lazily
   uint64_t simd_batches_ = 0;
   uint64_t scalar_fallbacks_ = 0;
 };
@@ -172,18 +207,17 @@ size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
                          bool canonical_order, PairSink& sink,
                          JoinStats& stats);
 
-/// Filters a contiguous run of candidate rows (candidate i at
-/// base + i * stride, id cand_ids[i]) against one query point, tile by
-/// tile, emitting survivors and updating counters exactly like
-/// FilterTileAndEmit.  This is the flat-arena hot path: a sliding window
-/// over a leaf is one contiguous run, so no per-candidate gather happens at
-/// all, and each tile prefetches the next.  Returns the number of pairs
-/// emitted.
-size_t FilterStridedRunAndEmit(BatchDistanceKernel& kernel, PointId query_id,
-                               const float* query_row, const float* base,
-                               size_t stride, const PointId* cand_ids,
-                               size_t count, bool canonical_order,
-                               PairSink& sink, JoinStats& stats);
+/// Filters a dims-major run of candidates (coordinate k of candidate i at
+/// cols[k * col_stride + i], id cand_ids[i]) against one query point,
+/// kColumnRunCapacity candidates per kernel call, emitting survivors in run
+/// order and updating counters exactly like FilterTileAndEmit.  This is the
+/// flat-tree hot path: a sliding window over a leaf is one contiguous run
+/// of each of the leaf's columns.  Returns the number of pairs emitted.
+size_t FilterColumnRunAndEmit(BatchDistanceKernel& kernel, PointId query_id,
+                              const float* query_row, const float* cols,
+                              size_t col_stride, const PointId* cand_ids,
+                              size_t count, bool canonical_order,
+                              PairSink& sink, JoinStats& stats);
 
 }  // namespace simjoin
 

@@ -129,15 +129,19 @@ Result<FlatEkdbTree> FlatEkdbTree::FromTree(const EkdbTree& tree,
                   flat.dims_ * sizeof(float));
     }
   };
+  // Each leaf lands dims-major in its block: coordinate k of row r at
+  // block[k * size + r] (see FlatEkdbTree::leaf_columns).
   auto fill_leaves = [&flat, &leaves, &data](size_t lo, size_t hi) {
+    const size_t dims = flat.dims_;
     for (size_t l = lo; l < hi; ++l) {
-      const EkdbNode* leaf = leaves[l].leaf;
-      size_t pos = leaves[l].arena_begin;
-      for (PointId p : leaf->points) {
-        std::memcpy(flat.owned_arena_.data() + pos * flat.dims_, data.Row(p),
-                    flat.dims_ * sizeof(float));
-        flat.owned_arena_ids_[pos] = p;
-        ++pos;
+      const std::vector<PointId>& points = leaves[l].leaf->points;
+      const size_t begin = leaves[l].arena_begin;
+      const size_t size = points.size();
+      float* block = flat.owned_arena_.data() + begin * dims;
+      for (size_t r = 0; r < size; ++r) {
+        const float* row = data.Row(points[r]);
+        for (size_t k = 0; k < dims; ++k) block[k * size + r] = row[k];
+        flat.owned_arena_ids_[begin + r] = points[r];
       }
     }
   };
@@ -360,7 +364,6 @@ Status FlatEkdbTree::RangeQuery(const float* query, double eps_query,
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   if (Status st = ValidateQueryEpsilon(eps_query); !st.ok()) return st;
   BatchDistanceKernel kernel(config_.metric, dims_, eps_query);
-  uint8_t mask[BatchDistanceKernel::kTileCapacity];
   uint64_t candidates = 0;
   uint64_t nodes_visited = 0;
   const size_t emitted_before = out->size();
@@ -377,30 +380,19 @@ Status FlatEkdbTree::RangeQuery(const float* query, double eps_query,
       continue;
     }
     if (node.is_leaf()) {
-      // The leaf's arena run is sorted on sort_dim: binary-search the
-      // window, then filter it as contiguous strided tiles.
-      const uint32_t sd = node.sort_dim;
-      const double lo = static_cast<double>(query[sd]) - eps_query;
-      const double hi = static_cast<double>(query[sd]) + eps_query;
-      const uint32_t wb = flat_internal::LowerBoundPos(
-          arena_, dims_, node.arena_begin, node.arena_end, sd, lo);
-      const uint32_t we = flat_internal::UpperBoundPos(arena_, dims_,
-                                                       wb, node.arena_end, sd,
-                                                       hi);
-      for (uint32_t pos = wb; pos < we;) {
-        const auto count = std::min<uint32_t>(
-            static_cast<uint32_t>(BatchDistanceKernel::kTileCapacity),
-            we - pos);
-        const float* next =
-            pos + count < we ? arena_row(pos + count) : nullptr;
-        kernel.FilterWithinEpsilonStrided(query, arena_row(pos), dims_, count,
-                                          mask, next);
-        for (uint32_t i = 0; i < count; ++i) {
-          if (mask[i]) out->push_back(arena_ids_[pos + i]);
-        }
-        candidates += count;
-        pos += count;
-      }
+      // The leaf's rows are sorted on sort_dim: binary-search the window in
+      // that column, then filter it as one run of every column.
+      const uint32_t size = node.subtree_points();
+      const float* cols = leaf_columns(node);
+      const float* key = cols + static_cast<size_t>(node.sort_dim) * size;
+      const double q = static_cast<double>(query[node.sort_dim]);
+      const uint32_t wb =
+          flat_internal::LowerBoundRow(key, 0, size, q - eps_query);
+      const uint32_t we =
+          flat_internal::UpperBoundRow(key, wb, size, q + eps_query);
+      flat_internal::ScanWindow(kernel, query, cols, size,
+                                arena_ids_ + node.arena_begin, wb, we, out);
+      candidates += we - wb;
       continue;
     }
     // Only the query's stripe and its two neighbours can hold matches.

@@ -11,17 +11,18 @@
 //  - a node array: children as index ranges (each node's children occupy a
 //    contiguous run, BFS order), with stripe / depth / sort_dim inline;
 //  - bbox planes: per-node lo/hi coordinate rows in two dense arrays;
-//  - a leaf-major coordinate arena: every leaf's points copied into
-//    row-major storage in leaf sweep order (DFS leaf order, each leaf's
-//    rows sorted on its sort_dim), plus an arena-position -> original
-//    PointId remap applied only when a pair is emitted.
+//  - a leaf-major coordinate arena: every leaf's points in leaf sweep
+//    order (DFS leaf order, each leaf's rows sorted on its sort_dim), each
+//    leaf stored dims-major inside its own block, plus an arena-position ->
+//    original PointId remap applied only when a pair is emitted.
 //
-// A sliding-window leaf sweep over the arena is therefore a straight
-// streaming scan — candidate tiles are contiguous rows fed to the strided
-// BatchDistanceKernel entry points — instead of a per-candidate gather
-// through 32 row pointers.  Joins over the flat form emit pair sets
-// bit-identical to the pointer-tree joins (see ekdb_flat_join.h and the
-// differential tests).  See docs/layout.md for the full story.
+// A sliding-window leaf sweep is therefore one contiguous run of each of
+// the leaf's columns, which the candidate-parallel
+// BatchDistanceKernel::FilterWithinEpsilonColumns scores one candidate per
+// SIMD lane, instead of a per-candidate gather through 32 row pointers.
+// Joins over the flat form emit pair sets bit-identical to the
+// pointer-tree joins (see ekdb_flat_join.h and the differential tests).
+// See docs/layout.md for the full story.
 
 #ifndef SIMJOIN_CORE_EKDB_FLAT_H_
 #define SIMJOIN_CORE_EKDB_FLAT_H_
@@ -68,7 +69,8 @@ struct RangeQuerySpec {
 /// The complete structural payload of a flat tree as plain arrays — what a
 /// segment loader hands to FromStorage (owned) or what a builder assembles
 /// off-line.  Index semantics are exactly FlatEkdbTree's internal layout:
-/// BFS node array, per-node bbox planes, DFS-leaf-order arena.
+/// BFS node array, per-node bbox planes, DFS-leaf-order arena of dims-major
+/// leaf blocks.
 struct FlatEkdbStorage {
   EkdbConfig config;
   std::vector<uint32_t> dim_order;
@@ -111,11 +113,13 @@ struct FlatEkdbStorageView {
 class FlatEkdbTree {
  public:
   /// Linearises a built pointer tree.  The flat tree joins against the same
-  /// dataset the pointer tree was built over.  With num_threads > 1 the
-  /// arena copy and node-metadata fill run as chunked tasks on the shared
-  /// work-stealing pool over precomputed subtree offsets (disjoint output
-  /// ranges, so the result is identical to the sequential fill);
-  /// num_threads == 0 uses hardware concurrency.
+  /// dataset the pointer tree was built over.  The arena copy writes each
+  /// leaf straight into its dims-major block (one pass, no transpose
+  /// afterwards).  With num_threads > 1 the arena copy and node-metadata
+  /// fill run as chunked tasks on the shared work-stealing pool over
+  /// precomputed subtree offsets (disjoint output ranges, so the result is
+  /// identical to the sequential fill); num_threads == 0 uses hardware
+  /// concurrency.
   static Result<FlatEkdbTree> FromTree(const EkdbTree& tree,
                                        size_t num_threads = 1);
 
@@ -165,10 +169,15 @@ class FlatEkdbTree {
 
   /// Number of points in the arena (== points indexed by the tree).
   uint32_t arena_size() const { return static_cast<uint32_t>(arena_count_); }
-  /// Row-major coordinates of arena position pos.
-  const float* arena_row(uint32_t pos) const {
-    return arena_ + static_cast<size_t>(pos) * dims_;
+  /// A leaf's dims-major block, the arena floats [arena_begin * dims,
+  /// arena_end * dims): coordinate k of the leaf's row r (arena position
+  /// arena_begin + r) sits at leaf_columns(leaf)[k * leaf.subtree_points()
+  /// + r].  Rows keep sweep order, so every column — the sort_dim column
+  /// included — is in the leaf's row order.
+  const float* leaf_columns(const FlatEkdbNode& leaf) const {
+    return arena_ + static_cast<size_t>(leaf.arena_begin) * dims_;
   }
+  /// The whole arena: the leaf blocks back to back in DFS leaf order.
   const float* arena_data() const { return arena_; }
   /// Original dataset id of arena position pos (the emit-time remap).
   PointId arena_id(uint32_t pos) const { return arena_ids_[pos]; }
@@ -198,7 +207,7 @@ class FlatEkdbTree {
 
   /// Collects the ids of all indexed points within eps_query of the query
   /// point (eps_query in (0, config().epsilon]).  Same id set as
-  /// EkdbTree::RangeQuery; leaf scans run through the strided batch kernel
+  /// EkdbTree::RangeQuery; leaf windows run through the column batch kernel
   /// and are tallied into stats (simd_batches etc.) when provided.
   Status RangeQuery(const float* query, double eps_query,
                     std::vector<PointId>* out,
@@ -214,7 +223,7 @@ class FlatEkdbTree {
   /// pass.  Every query is planned against the tree (identical traversal to
   /// RangeQuery), the surviving leaf windows of all queries are sorted by
   /// arena position, and the arena is swept once front to back with a single
-  /// strided batch kernel.  (*results)[i] receives exactly the ids — in
+  /// column batch kernel.  (*results)[i] receives exactly the ids — in
   /// exactly the order — that RangeQuery(specs[i]) would have produced, and
   /// (*stats)[i], when stats is non-null, receives exactly the JoinStats
   /// delta that query alone would have recorded; both are resized to `count`

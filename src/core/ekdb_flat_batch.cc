@@ -13,7 +13,7 @@
 //            a window immediately it records a SweepTask.
 //   sweep:   tasks from all queries are sorted by arena position and scored
 //            front to back with ONE BatchDistanceKernel, so consecutive
-//            tasks hit overlapping / adjacent arena tiles while they are
+//            tasks hit overlapping / adjacent leaf blocks while they are
 //            still cache-resident.
 //   scatter: each query's hits are concatenated in its recorded task order.
 //
@@ -41,6 +41,7 @@ namespace {
 struct SweepTask {
   uint32_t window_begin = 0;  ///< arena position range to score
   uint32_t window_end = 0;
+  uint32_t leaf = 0;          ///< node index of the window's leaf
   uint32_t spec = 0;          ///< originating query
   uint32_t hits_begin = 0;    ///< range in the shared hit pool (sweep fills)
   uint32_t hits_end = 0;
@@ -92,15 +93,17 @@ Status FlatEkdbTree::RangeQueryBatch(
         continue;
       }
       if (node.is_leaf()) {
-        const uint32_t sd = node.sort_dim;
-        const double lo = static_cast<double>(query[sd]) - eps_query;
-        const double hi = static_cast<double>(query[sd]) + eps_query;
-        const uint32_t wb = flat_internal::LowerBoundPos(
-            arena_, dims_, node.arena_begin, node.arena_end, sd, lo);
-        const uint32_t we = flat_internal::UpperBoundPos(
-            arena_, dims_, wb, node.arena_end, sd, hi);
+        const uint32_t size = node.subtree_points();
+        const float* key =
+            leaf_columns(node) + static_cast<size_t>(node.sort_dim) * size;
+        const double q = static_cast<double>(query[node.sort_dim]);
+        const uint32_t wb =
+            flat_internal::LowerBoundRow(key, 0, size, q - eps_query);
+        const uint32_t we =
+            flat_internal::UpperBoundRow(key, wb, size, q + eps_query);
         if (wb != we) {
-          tasks.push_back(SweepTask{wb, we, s, 0, 0});
+          tasks.push_back(SweepTask{node.arena_begin + wb,
+                                    node.arena_begin + we, idx, s, 0, 0});
         }
         continue;
       }
@@ -135,7 +138,6 @@ Status FlatEkdbTree::RangeQueryBatch(
 
   BatchDistanceKernel kernel(config_.metric, dims_, specs[0].epsilon);
   double kernel_eps = specs[0].epsilon;
-  uint8_t mask[BatchDistanceKernel::kTileCapacity];
   std::vector<PointId> hits;
   for (const uint32_t t : sweep_order) {
     SweepTask& task = tasks[t];
@@ -147,22 +149,16 @@ Status FlatEkdbTree::RangeQueryBatch(
     const uint64_t batches_before = kernel.simd_batches();
     const uint64_t rescues_before = kernel.scalar_fallbacks();
     task.hits_begin = static_cast<uint32_t>(hits.size());
-    const uint32_t we = task.window_end;
-    for (uint32_t pos = task.window_begin; pos < we;) {
-      const auto n = std::min<uint32_t>(
-          static_cast<uint32_t>(BatchDistanceKernel::kTileCapacity), we - pos);
-      const float* next = pos + n < we ? arena_row(pos + n) : nullptr;
-      kernel.FilterWithinEpsilonStrided(spec.query, arena_row(pos), dims_, n,
-                                        mask, next);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (mask[i]) hits.push_back(arena_ids_[pos + i]);
-      }
-      pos += n;
-    }
+    const FlatEkdbNode& leaf = nodes_[task.leaf];
+    flat_internal::ScanWindow(kernel, spec.query, leaf_columns(leaf),
+                              leaf.subtree_points(),
+                              arena_ids_ + leaf.arena_begin,
+                              task.window_begin - leaf.arena_begin,
+                              task.window_end - leaf.arena_begin, &hits);
     task.hits_end = static_cast<uint32_t>(hits.size());
     if (stats != nullptr) {
       JoinStats& st = (*stats)[task.spec];
-      const uint64_t candidates = we - task.window_begin;
+      const uint64_t candidates = task.window_end - task.window_begin;
       st.candidate_pairs += candidates;
       st.distance_calls += candidates;
       st.simd_batches += kernel.simd_batches() - batches_before;

@@ -3,64 +3,12 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/ekdb_flat_internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace simjoin {
 namespace internal {
-
-namespace {
-
-/// First arena position in [begin, end) whose coordinate `dim` is >= lo; the
-/// range must be sorted ascending on that coordinate.
-uint32_t LowerBoundPos(const float* arena, size_t dims, uint32_t begin,
-                       uint32_t end, uint32_t dim, double lo) {
-  while (begin < end) {
-    const uint32_t mid = begin + (end - begin) / 2;
-    if (static_cast<double>(arena[static_cast<size_t>(mid) * dims + dim]) <
-        lo) {
-      begin = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return begin;
-}
-
-/// First arena position in [begin, end) whose coordinate `dim` is > hi.
-uint32_t UpperBoundPos(const float* arena, size_t dims, uint32_t begin,
-                       uint32_t end, uint32_t dim, double hi) {
-  while (begin < end) {
-    const uint32_t mid = begin + (end - begin) / 2;
-    if (static_cast<double>(arena[static_cast<size_t>(mid) * dims + dim]) <=
-        hi) {
-      begin = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return begin;
-}
-
-/// First arena position in [begin, end) whose coordinate `dim` exceeds vi by
-/// more than eps — the same break predicate the pointer-tree self-join
-/// window uses, evaluated with identical arithmetic.
-uint32_t SelfWindowEnd(const float* arena, size_t dims, uint32_t begin,
-                       uint32_t end, uint32_t dim, double vi, double eps) {
-  while (begin < end) {
-    const uint32_t mid = begin + (end - begin) / 2;
-    if (static_cast<double>(arena[static_cast<size_t>(mid) * dims + dim]) -
-            vi >
-        eps) {
-      end = mid;
-    } else {
-      begin = mid + 1;
-    }
-  }
-  return begin;
-}
-
-}  // namespace
 
 FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& tree,
                                          PairSink* sink)
@@ -72,7 +20,8 @@ FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& tree,
       sliding_window_(tree.config().sliding_window_leaf_join),
       self_mode_(true),
       batch_(tree.config().metric, tree.dims(), tree.config().epsilon),
-      buffered_(sink) {}
+      buffered_(sink),
+      query_row_(tree.dims()) {}
 
 FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& a,
                                          const FlatEkdbTree& b,
@@ -86,77 +35,79 @@ FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& a,
                       b.config().sliding_window_leaf_join),
       self_mode_(false),
       batch_(a.config().metric, a.dims(), a.config().epsilon),
-      buffered_(sink) {}
+      buffered_(sink),
+      query_row_(a.dims()) {}
 
 void FlatEkdbJoinContext::LeafSelfJoin(const FlatEkdbNode& leaf) {
   SIMJOIN_TRACE_SPAN("join.simd_filter");
-  const float* arena = a_tree_.arena_data();
-  const PointId* ids = a_tree_.arena_ids_data();
-  const uint32_t sd = leaf.sort_dim;
-  for (uint32_t i = leaf.arena_begin; i < leaf.arena_end; ++i) {
-    const float* row_i = a_tree_.arena_row(i);
-    // The arena run is sorted on sort_dim, so every partner of i within the
-    // epsilon window on that coordinate is one contiguous run starting at
-    // i + 1 — stream it straight into the strided kernel.
-    uint32_t run_end = leaf.arena_end;
+  const uint32_t size = leaf.subtree_points();
+  const float* cols = a_tree_.leaf_columns(leaf);
+  const PointId* ids = a_tree_.arena_ids_data() + leaf.arena_begin;
+  const float* key = cols + static_cast<size_t>(leaf.sort_dim) * size;
+  for (uint32_t i = 0; i < size; ++i) {
+    // The leaf is sorted on sort_dim, so every partner of row i within the
+    // epsilon window on that coordinate is the run of rows starting at
+    // i + 1 — one contiguous run of every column.
+    uint32_t run_end = size;
     if (sliding_window_) {
-      run_end = SelfWindowEnd(arena, dims_, i + 1, leaf.arena_end, sd,
-                              static_cast<double>(row_i[sd]), epsilon_);
+      run_end = flat_internal::SelfWindowEnd(
+          key, i + 1, size, static_cast<double>(key[i]), epsilon_);
     }
     if (run_end <= i + 1) continue;
-    FilterStridedRunAndEmit(batch_, ids[i], row_i, a_tree_.arena_row(i + 1),
-                            dims_, ids + i + 1, run_end - (i + 1),
-                            /*canonical_order=*/true, buffered_, stats_);
+    flat_internal::GatherRow(cols, size, dims_, i, query_row_.data());
+    FilterColumnRunAndEmit(batch_, ids[i], query_row_.data(), cols + i + 1,
+                           size, ids + i + 1, run_end - (i + 1),
+                           /*canonical_order=*/true, buffered_, stats_);
   }
 }
 
 void FlatEkdbJoinContext::LeafCrossJoin(const FlatEkdbNode& a,
                                         const FlatEkdbNode& b) {
   SIMJOIN_TRACE_SPAN("join.simd_filter");
-  const float* b_arena = b_tree_.arena_data();
-  const PointId* b_ids = b_tree_.arena_ids_data();
+  const uint32_t a_size = a.subtree_points();
+  const uint32_t b_size = b.subtree_points();
+  if (b_size == 0) return;
+  const float* a_cols = a_tree_.leaf_columns(a);
+  const float* b_cols = b_tree_.leaf_columns(b);
+  const PointId* a_ids = a_tree_.arena_ids_data() + a.arena_begin;
+  const PointId* b_ids = b_tree_.arena_ids_data() + b.arena_begin;
+  float* a_row = query_row_.data();
   if (!sliding_window_) {
-    const uint32_t count = b.arena_end - b.arena_begin;
-    if (count == 0) return;
-    for (uint32_t i = a.arena_begin; i < a.arena_end; ++i) {
-      FilterStridedRunAndEmit(batch_, a_tree_.arena_id(i),
-                              a_tree_.arena_row(i),
-                              b_tree_.arena_row(b.arena_begin), dims_,
-                              b_ids + b.arena_begin, count, self_mode_,
-                              buffered_, stats_);
+    for (uint32_t i = 0; i < a_size; ++i) {
+      flat_internal::GatherRow(a_cols, a_size, dims_, i, a_row);
+      FilterColumnRunAndEmit(batch_, a_ids[i], a_row, b_cols, b_size, b_ids,
+                             b_size, self_mode_, buffered_, stats_);
     }
     return;
   }
   // Window on the candidate side's sort dimension, so the window is always a
-  // contiguous run of b's arena range.  When the query side happens to be
-  // sorted on the same dimension the window start advances monotonically;
-  // otherwise (leaves at different depths) each query row binary-searches
-  // its window — no re-sorting of either side is needed, unlike the
-  // pointer-tree path.
+  // contiguous run of b's rows.  When the query side happens to be sorted on
+  // the same dimension the window start advances monotonically; otherwise
+  // (leaves at different depths) each query row binary-searches its window
+  // — no re-sorting of either side is needed, unlike the pointer-tree path.
   const uint32_t dim = b.sort_dim;
   const bool same_dim = a.sort_dim == b.sort_dim;
-  uint32_t window_start = b.arena_begin;
-  for (uint32_t i = a.arena_begin; i < a.arena_end; ++i) {
-    const float* a_row = a_tree_.arena_row(i);
-    const double lo = static_cast<double>(a_row[dim]) - epsilon_;
-    const double hi = static_cast<double>(a_row[dim]) + epsilon_;
+  const float* a_key = a_cols + static_cast<size_t>(dim) * a_size;
+  const float* b_key = b_cols + static_cast<size_t>(dim) * b_size;
+  uint32_t window_start = 0;
+  for (uint32_t i = 0; i < a_size; ++i) {
+    const double lo = static_cast<double>(a_key[i]) - epsilon_;
+    const double hi = static_cast<double>(a_key[i]) + epsilon_;
     uint32_t wb;
     if (same_dim) {
-      while (window_start < b.arena_end &&
-             static_cast<double>(
-                 b_arena[static_cast<size_t>(window_start) * dims_ + dim]) <
-                 lo) {
+      while (window_start < b_size &&
+             static_cast<double>(b_key[window_start]) < lo) {
         ++window_start;
       }
       wb = window_start;
     } else {
-      wb = LowerBoundPos(b_arena, dims_, b.arena_begin, b.arena_end, dim, lo);
+      wb = flat_internal::LowerBoundRow(b_key, 0, b_size, lo);
     }
-    const uint32_t we = UpperBoundPos(b_arena, dims_, wb, b.arena_end, dim, hi);
+    const uint32_t we = flat_internal::UpperBoundRow(b_key, wb, b_size, hi);
     if (we <= wb) continue;
-    FilterStridedRunAndEmit(batch_, a_tree_.arena_id(i), a_row,
-                            b_tree_.arena_row(wb), dims_, b_ids + wb, we - wb,
-                            self_mode_, buffered_, stats_);
+    flat_internal::GatherRow(a_cols, a_size, dims_, i, a_row);
+    FilterColumnRunAndEmit(batch_, a_ids[i], a_row, b_cols + wb, b_size,
+                           b_ids + wb, we - wb, self_mode_, buffered_, stats_);
   }
 }
 

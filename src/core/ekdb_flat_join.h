@@ -3,15 +3,18 @@
 // Same contracts as ekdb_join.h — FlatEkdbSelfJoin reports every unordered
 // within-epsilon pair exactly once in (min, max) order, FlatEkdbJoin reports
 // (a, b) pairs across two join-compatible trees — but the traversal walks
-// the contiguous node array and the leaf sweeps stream the coordinate arena
-// directly into the strided batch kernel: a sliding window over a leaf
-// sorted on its sort dimension is one contiguous arena run, so the hot loop
-// performs no per-candidate pointer gather at all.  Emitted pair sets are
-// bit-identical to the pointer-tree joins for every metric (the window
-// bounds are conservative and the batch kernel's accept decision is exact).
+// the contiguous node array and the leaf sweeps feed the dims-major leaf
+// blocks straight into the candidate-parallel column kernel: a sliding
+// window over a leaf sorted on its sort dimension is one contiguous run of
+// each column, scored one candidate per SIMD lane, so the hot loop performs
+// no per-candidate gather at all.  Emitted pair sets are bit-identical to
+// the pointer-tree joins for every metric (the window bounds are
+// conservative and the batch kernel's accept decision is exact).
 
 #ifndef SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
 #define SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
+
+#include <vector>
 
 #include "common/pair_sink.h"
 #include "common/simd_kernel.h"
@@ -95,6 +98,7 @@ class FlatEkdbJoinContext {
   BatchDistanceKernel batch_;
   BufferedSink buffered_;
   JoinStats stats_;
+  std::vector<float> query_row_;  ///< query row gathered from leaf columns
 };
 
 }  // namespace internal

@@ -2,9 +2,9 @@
 //
 // A segment file is a versioned, checksummed container holding everything
 // needed to serve an index with zero rebuild work: the flat tree's node
-// array, bbox planes, leaf-packed coordinate arena and id remap, plus the
-// original dataset rows (original row order) and the resolved dimension
-// order.  Every section starts on a 4096-byte page boundary and the arrays
+// array, bbox planes, leaf-packed (dims-major) coordinate arena and id
+// remap, plus the original dataset rows (original row order) and the
+// resolved dimension order.  Every section starts on a 4096-byte page boundary and the arrays
 // are stored exactly as FlatEkdbTree lays them out in memory, so the file
 // can be served two ways:
 //
@@ -39,9 +39,11 @@
 
 namespace simjoin {
 
-/// Segment file magic ("SJSG") and current format version.
+/// Segment file magic ("SJSG") and current format version.  Version 2
+/// stores each leaf of the arena dims-major; version 1 files (row-major
+/// arena) are rejected and must be rebuilt.
 inline constexpr uint32_t kSegmentMagic = 0x4753'4A53;
-inline constexpr uint32_t kSegmentVersion = 1;
+inline constexpr uint32_t kSegmentVersion = 2;
 /// Every section offset is a multiple of this (mmap page granularity).
 inline constexpr uint64_t kSegmentPageBytes = 4096;
 
@@ -51,7 +53,8 @@ enum class SegmentSection : uint32_t {
   kNodes = 1,     ///< num_nodes x FlatEkdbNode (BFS order)
   kBboxLo = 2,    ///< num_nodes x dims floats
   kBboxHi = 3,    ///< num_nodes x dims floats
-  kArena = 4,     ///< num_points x dims floats (DFS leaf order)
+  kArena = 4,     ///< num_points x dims floats (DFS leaf order, each
+                  ///< leaf block dims-major)
   kArenaIds = 5,  ///< num_points x u32 arena-position -> row id remap
   kDataset = 6,   ///< num_points x dims floats (original row order)
 };

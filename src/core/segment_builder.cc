@@ -371,6 +371,12 @@ Result<ExternalBuildReport> BuildSegmentExternal(
   // The arena and id sections of the final file are plain concatenations of
   // the fragments' arenas in stripe order, so both stream straight to temp
   // spill files with running checksums; only node metadata stays in memory.
+  // Concatenating arenas is exact for the dims-major layout too: a leaf's
+  // block holds only that leaf's rows, with its column stride set by the
+  // leaf's own size, so no byte of a block depends on where the block sits
+  // in the arena.  Shifting a fragment's node ranges by arena_offset (below)
+  // is all the relocation there is, which keeps the file byte-identical to
+  // WriteSegment over the in-memory build.
   const std::string arena_path = sweeper.Track(temp_prefix + ".arena");
   const std::string ids_path = sweeper.Track(temp_prefix + ".ids");
   ChecksummedWriter arena_out;

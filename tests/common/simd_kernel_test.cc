@@ -1,6 +1,8 @@
 #include "common/simd_kernel.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,8 +120,8 @@ TEST_P(BatchKernelDifferentialTest, StridedMatchesGatheredExactly) {
   }
 }
 
-/// FilterStridedRunAndEmit must report the same pairs and counters as the
-/// equivalent gathered-tile loop over the same candidate run.
+/// FilterColumnRunAndEmit over a dims-major copy of the rows must report the
+/// same pair sequence and counters as the gathered-tile loop over the rows.
 TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
   const auto [metric, dims] = GetParam();
   Rng rng(0xbeef + dims);
@@ -130,6 +132,12 @@ TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
     float* row = data.MutableRow(static_cast<PointId>(i));
     for (size_t d = 0; d < dims; ++d) {
       row[d] = static_cast<float>(rng.Uniform() * 0.3);
+    }
+  }
+  std::vector<float> cols(n * dims);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dims; ++d) {
+      cols[d * n + i] = data.Row(static_cast<PointId>(i))[d];
     }
   }
   std::vector<PointId> cand_ids;
@@ -155,12 +163,12 @@ TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
     FilterTileAndEmit(tile_kernel, query_id, query, tile, canonical,
                       tile_sink, tile_stats);
 
-    const size_t emitted = FilterStridedRunAndEmit(
-        run_kernel, query_id, query, data.Row(0), dims, cand_ids.data(), n,
+    const size_t emitted = FilterColumnRunAndEmit(
+        run_kernel, query_id, query, cols.data(), n, cand_ids.data(), n,
         canonical, run_sink, run_stats);
 
     EXPECT_EQ(emitted, tile_sink.pairs().size());
-    EXPECT_EQ(tile_sink.Sorted(), run_sink.Sorted());
+    EXPECT_EQ(tile_sink.pairs(), run_sink.pairs());
     EXPECT_EQ(tile_stats.candidate_pairs, run_stats.candidate_pairs);
     EXPECT_EQ(tile_stats.distance_calls, run_stats.distance_calls);
     EXPECT_EQ(tile_stats.pairs_emitted, run_stats.pairs_emitted);
@@ -220,15 +228,112 @@ TEST_P(BatchKernelDifferentialTest, ExactBoundaryPointsStayWithin) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Paths, BatchKernelDifferentialTest,
-    ::testing::Values(KernelCase{Metric::kL1, 4}, KernelCase{Metric::kL1, 16},
-                      KernelCase{Metric::kL1, 64}, KernelCase{Metric::kL2, 4},
-                      KernelCase{Metric::kL2, 16}, KernelCase{Metric::kL2, 64},
-                      KernelCase{Metric::kLinf, 4},
-                      KernelCase{Metric::kLinf, 16},
-                      KernelCase{Metric::kLinf, 64}),
-    CaseName);
+/// Every metric at each listed dimensionality.
+std::vector<KernelCase> Cases(std::initializer_list<size_t> dims_list) {
+  std::vector<KernelCase> cases;
+  for (const Metric metric : {Metric::kL1, Metric::kL2, Metric::kLinf}) {
+    for (const size_t dims : dims_list) cases.push_back({metric, dims});
+  }
+  return cases;
+}
+
+// d = 8, 12, 17, 24 and 33 exercise every shape of the vector tiers'
+// dims % 16 and dims % 8 remainders.
+INSTANTIATE_TEST_SUITE_P(Paths, BatchKernelDifferentialTest,
+                         ::testing::ValuesIn(Cases({4, 8, 12, 16, 17, 24, 33,
+                                                    64})),
+                         CaseName);
+
+class ColumnKernelDifferentialTest
+    : public ::testing::TestWithParam<KernelCase> {};
+
+/// The candidate-parallel column entry point must decide every candidate
+/// exactly like the scalar reference, on every tier: runs of 1..40 (and a
+/// full 64) candidates at several offsets inside a wider dims-major block,
+/// so the column stride never equals the run length, over candidates
+/// planted on and one ulp either side of the epsilon boundary.  The block
+/// is an allocation of exactly rows * dims floats and some runs end at its
+/// last float, so a sanitizer build flags any read past a run.
+TEST_P(ColumnKernelDifferentialTest, MatchesScalarReference) {
+  const auto [metric, dims] = GetParam();
+  constexpr size_t kRows = 70;
+  const double eps = 0.25;
+  Rng rng(0xc01 + dims * 3 + static_cast<size_t>(metric));
+  DistanceKernel reference(metric);
+
+  std::vector<float> query(dims);
+  for (float& v : query) v = static_cast<float>(0.3 + 0.4 * rng.Uniform());
+  std::vector<std::vector<float>> rows(kRows, query);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::vector<float>& row = rows[r];
+    if (r % 3 == 0) {
+      // One axis offset by eps (rounded to float), then nudged 0, +1 or -1
+      // ulp: in every metric the distance sits on the boundary or one
+      // coordinate ulp either side of it.
+      const size_t axis = rng.UniformInt(dims);
+      float c = static_cast<float>(query[axis] + eps);
+      if (r % 9 == 3) c = std::nextafter(c, 2.0f);
+      if (r % 9 == 6) c = std::nextafter(c, 0.0f);
+      row[axis] = c;
+      continue;
+    }
+    // Elsewhere a random direction scaled to within 1% of eps, so many
+    // float scores land inside the rescue band.
+    std::vector<double> dir(dims);
+    double norm = 0.0;
+    for (size_t k = 0; k < dims; ++k) {
+      dir[k] = rng.Uniform() - 0.5;
+      const double a = std::fabs(dir[k]);
+      norm = metric == Metric::kL1   ? norm + a
+             : metric == Metric::kL2 ? norm + a * a
+                                     : std::max(norm, a);
+    }
+    if (metric == Metric::kL2) norm = std::sqrt(norm);
+    const double scale = eps * (0.99 + 0.02 * rng.Uniform()) / norm;
+    for (size_t k = 0; k < dims; ++k) {
+      row[k] = static_cast<float>(query[k] + dir[k] * scale);
+    }
+  }
+  std::vector<float> cols(kRows * dims);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t k = 0; k < dims; ++k) cols[k * kRows + r] = rows[r][k];
+  }
+
+  std::vector<size_t> counts;
+  for (size_t c = 1; c <= 40; ++c) counts.push_back(c);
+  counts.push_back(BatchDistanceKernel::kColumnRunCapacity);
+  size_t rescued = 0;
+  for (const KernelPath path : {KernelPath::kScalar, KernelPath::kPortable,
+                                KernelPath::kAvx2, KernelPath::kAvx512}) {
+    BatchDistanceKernel kernel(metric, dims, eps, path);
+    for (const size_t count : counts) {
+      for (const size_t offset : {size_t{0}, size_t{1}, size_t{5},
+                                  kRows - count}) {
+        const uint64_t bits = kernel.FilterWithinEpsilonColumns(
+            query.data(), cols.data() + offset, kRows, count);
+        if (count < 64) {
+          ASSERT_EQ(0u, bits >> count) << "bits set past the run";
+        }
+        for (size_t i = 0; i < count; ++i) {
+          const bool expected = reference.WithinEpsilon(
+              query.data(), rows[offset + i].data(), dims, eps);
+          ASSERT_EQ(expected, ((bits >> i) & 1) != 0)
+              << "path=" << static_cast<int>(path)
+              << " metric=" << MetricName(metric) << " dims=" << dims
+              << " count=" << count << " offset=" << offset
+              << " candidate=" << i;
+        }
+      }
+    }
+    if (path != KernelPath::kScalar) rescued += kernel.scalar_fallbacks();
+  }
+  EXPECT_GT(rescued, 0u) << "no candidate reached the rescue band";
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, ColumnKernelDifferentialTest,
+                         ::testing::ValuesIn(Cases({1, 3, 4, 8, 12, 16, 17, 24,
+                                                    33, 64})),
+                         CaseName);
 
 TEST(BatchKernelTest, CountersTallyBatchesAndFallbacks) {
   BatchDistanceKernel scalar(Metric::kL2, 8, 0.1, KernelPath::kScalar);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -270,25 +271,29 @@ TEST(FlatEkdbTreeTest, StructureMirrorsPointerTree) {
     ASSERT_EQ(ids[i], static_cast<PointId>(i));
   }
 
-  // Arena rows hold the original coordinates, remapped by arena_id.
-  for (uint32_t pos = 0; pos < flat.arena_size(); pos += 37) {
-    const float* arena_row = flat.arena_row(pos);
-    const float* dataset_row = data->Row(flat.arena_id(pos));
-    for (size_t d = 0; d < flat.dims(); ++d) {
-      ASSERT_EQ(arena_row[d], dataset_row[d]);
-    }
-  }
-
   uint64_t leaves = 0;
+  uint64_t leaf_points = 0;
   for (uint32_t idx = 0; idx < flat.num_nodes(); ++idx) {
     const FlatEkdbNode& node = flat.node(idx);
     if (node.is_leaf()) {
       ++leaves;
-      // Each leaf's arena run is sorted on its sort dimension.
-      for (uint32_t pos = node.arena_begin + 1; pos < node.arena_end; ++pos) {
-        ASSERT_LE(flat.arena_row(pos - 1)[node.sort_dim],
-                  flat.arena_row(pos)[node.sort_dim]);
+      // Every leaf column holds the original coordinates of the leaf's rows
+      // (remapped by arena_id), and the sort_dim column is ascending.
+      const uint32_t size = node.subtree_points();
+      const float* cols = flat.leaf_columns(node);
+      ASSERT_EQ(cols, flat.arena_data() +
+                          static_cast<size_t>(node.arena_begin) * flat.dims());
+      for (uint32_t r = 0; r < size; ++r) {
+        const float* dataset_row =
+            data->Row(flat.arena_id(node.arena_begin + r));
+        for (size_t k = 0; k < flat.dims(); ++k) {
+          ASSERT_EQ(cols[k * size + r], dataset_row[k])
+              << "leaf " << idx << " row " << r << " dim " << k;
+        }
       }
+      const float* key = cols + static_cast<size_t>(node.sort_dim) * size;
+      for (uint32_t r = 1; r < size; ++r) ASSERT_LE(key[r - 1], key[r]);
+      leaf_points += size;
       continue;
     }
     // Children are a contiguous stripe-sorted index range whose arena
@@ -309,6 +314,7 @@ TEST(FlatEkdbTreeTest, StructureMirrorsPointerTree) {
     EXPECT_EQ(expected_begin, node.arena_end);
   }
   EXPECT_EQ(leaves, stats.leaves);
+  EXPECT_EQ(leaf_points, data->size()) << "leaf blocks must tile the arena";
   EXPECT_EQ(flat.node(FlatEkdbTree::kRoot).subtree_points(), data->size());
 }
 
@@ -412,11 +418,69 @@ TEST(FlatEkdbTreeTest, ParallelFromTreeMatchesSequential) {
     }
     for (uint32_t pos = 0; pos < seq->arena_size(); ++pos) {
       ASSERT_EQ(seq->arena_id(pos), par->arena_id(pos)) << "pos " << pos;
-      for (size_t d = 0; d < seq->dims(); ++d) {
-        ASSERT_EQ(seq->arena_row(pos)[d], par->arena_row(pos)[d])
-            << "pos " << pos;
-      }
     }
+    const size_t floats = static_cast<size_t>(seq->arena_size()) * seq->dims();
+    for (size_t f = 0; f < floats; ++f) {
+      ASSERT_EQ(seq->arena_data()[f], par->arena_data()[f]) << "float " << f;
+    }
+  }
+}
+
+/// A view-backed tree over exactly sized copies of the arrays: the arena
+/// allocation ends at the last float of the last leaf block, so a sanitizer
+/// build flags any column read past a run.  Joins and range queries must
+/// match the owned tree.
+TEST(FlatEkdbTreeTest, ViewBackedTreeMatchesOwnedTree) {
+  auto data = GenerateClustered(
+      {.n = 3000, .dims = 12, .clusters = 5, .sigma = 0.04, .seed = 29});
+  ASSERT_TRUE(data.ok());
+  auto tree = EkdbTree::Build(*data, Config(0.1, 24));
+  ASSERT_TRUE(tree.ok());
+  const FlatEkdbTree owned = Flatten(*tree);
+
+  struct Arrays {
+    std::vector<FlatEkdbNode> nodes;
+    std::vector<float> bbox_lo, bbox_hi, arena;
+    std::vector<PointId> ids;
+  };
+  auto arrays = std::make_shared<Arrays>();
+  const size_t dims = owned.dims();
+  const size_t num_nodes = owned.num_nodes();
+  const size_t points = owned.arena_size();
+  arrays->nodes.assign(owned.nodes_data(), owned.nodes_data() + num_nodes);
+  arrays->bbox_lo.assign(owned.bbox_lo(0), owned.bbox_lo(0) + num_nodes * dims);
+  arrays->bbox_hi.assign(owned.bbox_hi(0), owned.bbox_hi(0) + num_nodes * dims);
+  arrays->arena.assign(owned.arena_data(), owned.arena_data() + points * dims);
+  arrays->ids.assign(owned.arena_ids_data(), owned.arena_ids_data() + points);
+
+  FlatEkdbStorageView view;
+  view.config = owned.config();
+  view.dim_order = owned.dim_order();
+  view.num_stripes = owned.num_stripes();
+  view.stripe_width = owned.stripe_width();
+  view.nodes = arrays->nodes.data();
+  view.num_nodes = num_nodes;
+  view.bbox_lo = arrays->bbox_lo.data();
+  view.bbox_hi = arrays->bbox_hi.data();
+  view.arena = arrays->arena.data();
+  view.arena_ids = arrays->ids.data();
+  view.arena_count = points;
+  auto viewed = FlatEkdbTree::FromView(*data, view, arrays);
+  ASSERT_TRUE(viewed.ok()) << viewed.status().ToString();
+  ASSERT_TRUE(viewed->view_backed());
+
+  VectorSink owned_pairs, viewed_pairs;
+  JoinStats owned_stats, viewed_stats;
+  ASSERT_TRUE(FlatEkdbSelfJoin(owned, &owned_pairs, &owned_stats).ok());
+  ASSERT_TRUE(FlatEkdbSelfJoin(*viewed, &viewed_pairs, &viewed_stats).ok());
+  EXPECT_GT(owned_pairs.pairs().size(), 0u);
+  EXPECT_EQ(owned_pairs.pairs(), viewed_pairs.pairs());
+  EXPECT_EQ(owned_stats.candidate_pairs, viewed_stats.candidate_pairs);
+  for (PointId q = 0; q < data->size(); q += 97) {
+    std::vector<PointId> a, b;
+    ASSERT_TRUE(owned.RangeQuery(data->Row(q), 0.1, &a).ok());
+    ASSERT_TRUE(viewed->RangeQuery(data->Row(q), 0.1, &b).ok());
+    EXPECT_EQ(a, b) << "query " << q;
   }
 }
 

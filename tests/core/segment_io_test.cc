@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -21,6 +22,7 @@
 #include "core/ekdb_tree.h"
 #include "core/segment_backend.h"
 #include "core/segment_builder.h"
+#include "core/segment_internal.h"
 #include "workload/generators.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -341,6 +343,34 @@ TEST_F(SegmentRobustnessTest, RejectsVersionSkew) {
   EXPECT_NE(opened.status().message().find("version"), std::string::npos)
       << "error should name the version mismatch: "
       << opened.status().ToString();
+}
+
+TEST_F(SegmentRobustnessTest, RejectsVersionOneSegment) {
+  // A version-1 file stores its arena row-major.  Patch the version field
+  // and re-seal the header checksum, so the header is a well-formed v1
+  // header: only the version check can reject it, and it must, cleanly.
+  std::vector<uint8_t> bytes = ValidSegment();
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // version u32 @4
+  const size_t checksum_at = 64 + kNumSegmentSections * 24;  // after table
+  const uint64_t sealed = segment_internal::Fnv1a64(
+      bytes.data(), checksum_at, segment_internal::kFnvSeed);
+  std::memcpy(bytes.data() + checksum_at, &sealed, sizeof(sealed));
+  const std::string path = Path("v1.seg");
+  WriteFile(path, bytes);
+  for (const SegmentOpenMode mode :
+       {SegmentOpenMode::kInMemory, SegmentOpenMode::kMmap}) {
+    auto opened = OpenSegment(path, mode);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().message().find("unsupported segment version 1"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  auto info = ReadSegmentInfo(path);
+  ASSERT_FALSE(info.ok());
+  EXPECT_NE(info.status().message().find("unsupported segment version 1"),
+            std::string::npos)
+      << info.status().ToString();
 }
 
 TEST_F(SegmentRobustnessTest, RejectsTruncation) {
