@@ -256,6 +256,52 @@ BENCHMARK(BM_KernelFilterColumns)
                     static_cast<long>(KernelPath::kAvx512)},
                    {4, 8, 16, 32}});
 
+// Register tiles on one pinned tier (arg 0: KernelPath), L2: kTileRows
+// query rows read straight from one leaf block's columns against the same
+// 25-candidate runs as BM_KernelFilterColumns.  Items are (row, candidate)
+// lanes, so ns per item compares directly with the one-row numbers.
+void BM_KernelFilterTile(benchmark::State& state) {
+  const auto path = static_cast<KernelPath>(state.range(0));
+  const size_t dims = static_cast<size_t>(state.range(1));
+  constexpr size_t kLeaf = 48;
+  constexpr size_t kRun = 25;
+  constexpr size_t kRows = BatchDistanceKernel::kTileRows;
+  const Dataset data = MakePoints(1024, dims, 11);
+  const size_t blocks = data.size() / kLeaf;
+  std::vector<float> cols(blocks * kLeaf * dims);
+  for (size_t b = 0; b < blocks; ++b) {
+    for (size_t r = 0; r < kLeaf; ++r) {
+      const float* row = data.Row(static_cast<PointId>(b * kLeaf + r));
+      for (size_t k = 0; k < dims; ++k) {
+        cols[b * kLeaf * dims + k * kLeaf + r] = row[k];
+      }
+    }
+  }
+  BatchDistanceKernel kernel(Metric::kL2, dims, 0.5, path);
+  uint64_t masks[kRows];
+  size_t base = 0;
+  for (auto _ : state) {
+    const float* queries =
+        cols.data() + (base * 5 % blocks) * kLeaf * dims + base % (kLeaf - kRows);
+    const float* block = cols.data() + (base * 7 % blocks) * kLeaf * dims;
+    kernel.FilterTileColumns(queries, kLeaf, kRows,
+                             block + base % (kLeaf - kRun), kLeaf, kRun,
+                             masks);
+    benchmark::DoNotOptimize(masks);
+    benchmark::ClobberMemory();
+    ++base;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRows * kRun));
+  state.SetLabel(std::to_string(static_cast<int>(kernel.path())));
+}
+BENCHMARK(BM_KernelFilterTile)
+    ->ArgsProduct({{static_cast<long>(KernelPath::kScalar),
+                    static_cast<long>(KernelPath::kPortable),
+                    static_cast<long>(KernelPath::kAvx2),
+                    static_cast<long>(KernelPath::kAvx512)},
+                   {4, 8, 16, 32}});
+
 void BM_EkdbBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset data = MakePoints(n, 8, 3);

@@ -19,7 +19,8 @@ cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMJOIN_ENABLE_SANITIZERS=ON \
   -DSIMJOIN_BUILD_BENCHMARKS=OFF \
-  -DSIMJOIN_BUILD_EXAMPLES=OFF
+  -DSIMJOIN_BUILD_EXAMPLES=OFF \
+  -DSIMJOIN_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"

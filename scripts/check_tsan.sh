@@ -25,7 +25,8 @@ cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMJOIN_ENABLE_TSAN=ON \
   -DSIMJOIN_BUILD_BENCHMARKS=OFF \
-  -DSIMJOIN_BUILD_EXAMPLES=OFF
+  -DSIMJOIN_BUILD_EXAMPLES=OFF \
+  -DSIMJOIN_WERROR=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"

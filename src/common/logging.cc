@@ -24,7 +24,8 @@ std::string WallTimeIso8601() {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Sized for seven full-width ints, so the format can never truncate.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

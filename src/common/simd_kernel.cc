@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <span>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SIMJOIN_X86 1
@@ -101,18 +104,45 @@ float ScorePortableLinf(const float* q, const float* r, size_t dims) {
   return m;
 }
 
+/// Stack room for N result pairs, left uninitialised: an IdPair array
+/// would be zeroed by std::pair's default constructor on every call.
+/// Pairs are created in place with Put.
+template <size_t N>
+class PairScratch {
+ public:
+  PairScratch() {}
+  void Put(size_t i, PointId a, PointId b) {
+    std::construct_at(&pairs_[i], a, b);
+  }
+  std::span<const IdPair> First(size_t n) const { return {pairs_, n}; }
+
+ private:
+  union {
+    IdPair pairs_[N];
+  };
+};
+
 /// Mask with the low n bits set (n <= 64).
 inline uint64_t LowBits(size_t n) {
   return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
 }
 
-/// How every column tier reports a run: bit i of *below is set iff
-/// candidate i's float score is <= threshold, bit i of *band iff that score
-/// lies inside the rescue band (the same band test the row tiers make).
+/// How every column tier reports a run scored against one contiguous query
+/// row: bit i of *below is set iff candidate i's float score is <=
+/// threshold, bit i of *band iff that score lies inside the rescue band
+/// (the same band test the row tiers make).
 using ColumnScoreFn = void (*)(const float* q, const float* cols,
                                size_t stride, size_t count, size_t dims,
                                float threshold, float margin, uint64_t* below,
                                uint64_t* band);
+
+/// The same report for a tile of `rows` dims-major query rows (row j's
+/// coordinate k at q[k * q_stride + j]): below[j] and band[j] per row.
+/// below and band hold kTileRows entries each.
+using TileScoreFn = void (*)(const float* q, size_t q_stride, size_t rows,
+                             const float* cols, size_t stride, size_t count,
+                             size_t dims, float threshold, float margin,
+                             uint64_t* below, uint64_t* band);
 
 template <Metric M>
 inline float PortableStep(float acc, float diff) {
@@ -127,15 +157,17 @@ inline float PortableStep(float acc, float diff) {
 
 /// Plain-C++ column scorer: one accumulator per candidate, dims in order.
 /// The compiler vectorizes the inner loop across candidates with the
-/// baseline ISA.
+/// baseline ISA.  Query coordinate k is q[k * q_stride].
 template <Metric M>
-void ScoreColumnsPortable(const float* q, const float* cols, size_t stride,
-                          size_t count, size_t dims, float threshold,
-                          float margin, uint64_t* below, uint64_t* band) {
+inline void ScoreColumnRowPortable(const float* q, size_t q_stride,
+                                   const float* cols, size_t stride,
+                                   size_t count, size_t dims, float threshold,
+                                   float margin, uint64_t* below,
+                                   uint64_t* band) {
   float acc[BatchDistanceKernel::kColumnRunCapacity];
   for (size_t i = 0; i < count; ++i) acc[i] = 0.0f;
   for (size_t k = 0; k < dims; ++k) {
-    const float qk = q[k];
+    const float qk = q[k * q_stride];
     const float* col = cols + k * stride;
     for (size_t i = 0; i < count; ++i) {
       acc[i] = PortableStep<M>(acc[i], qk - col[i]);
@@ -152,6 +184,26 @@ void ScoreColumnsPortable(const float* q, const float* cols, size_t stride,
   }
   *below = lo;
   *band = bd;
+}
+
+template <Metric M>
+void ScoreColumnsPortable(const float* q, const float* cols, size_t stride,
+                          size_t count, size_t dims, float threshold,
+                          float margin, uint64_t* below, uint64_t* band) {
+  ScoreColumnRowPortable<M>(q, 1, cols, stride, count, dims, threshold,
+                            margin, below, band);
+}
+
+/// This tier keeps no register tile: it scores the rows one at a time.
+template <Metric M>
+void ScoreTilePortable(const float* q, size_t q_stride, size_t rows,
+                       const float* cols, size_t stride, size_t count,
+                       size_t dims, float threshold, float margin,
+                       uint64_t* below, uint64_t* band) {
+  for (size_t j = 0; j < rows; ++j) {
+    ScoreColumnRowPortable<M>(q + j, q_stride, cols, stride, count, dims,
+                              threshold, margin, below + j, band + j);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,43 +443,101 @@ __attribute__((target("avx2,fma"))) inline void CompareLanes256(
       _mm256_movemask_ps(_mm256_cmp_ps(gap, width, _CMP_LE_OQ)));
 }
 
-// Candidate-parallel scoring of a dims-major run: NV vectors of 8 lanes,
-// one candidate per lane, each lane accumulating its candidate's dims in
-// order — no sum across lanes.  The last vector holds `tail` (1..8)
-// candidates and is read with masked loads, so nothing past the run is
-// touched.
-template <Metric M, int NV>
-__attribute__((target("avx2,fma"))) void ColumnBlockAvx2(
-    const float* q, const float* cols, size_t stride, size_t dims,
-    size_t tail, float threshold, float margin, uint64_t* below,
+// Candidate-parallel scoring of a dims-major run against a register tile
+// of R query rows: NV vectors of 8 lanes, one candidate per lane, each
+// lane accumulating its candidate's dims in order — no sum across lanes.
+// Every column vector is loaded once and scored against the R broadcast
+// query coordinates.  The last vector holds `tail` (1..8) candidates and
+// is read with masked loads, so nothing past the run is touched.  The
+// row and vector loops are unrolled before scalar replacement runs, or
+// GCC keeps a large tile's accumulators in memory and stores them on
+// every step.
+template <Metric M, int R, int NV>
+__attribute__((target("avx2,fma"))) void ColumnTileAvx2(
+    const float* q, size_t q_stride, const float* cols, size_t stride,
+    size_t dims, size_t tail, float threshold, float margin, uint64_t* below,
     uint64_t* band) {
   const __m256i tail_mask = FirstLanes256(tail);
-  __m256 acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_ps();
+  __m256 acc[R][NV];
+  #pragma GCC unroll 16
+  for (int j = 0; j < R; ++j) {
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) acc[j][v] = _mm256_setzero_ps();
+  }
   for (size_t k = 0; k < dims; ++k) {
-    const __m256 qk = _mm256_set1_ps(q[k]);
+    const float* qk = q + k * q_stride;
     const float* col = cols + k * stride;
+    __m256 qv[R];
+    #pragma GCC unroll 16
+    for (int j = 0; j < R; ++j) qv[j] = _mm256_set1_ps(qk[j]);
+    #pragma GCC unroll 16
     for (int v = 0; v + 1 < NV; ++v) {
-      acc[v] = Step256<M>(acc[v],
-                          _mm256_sub_ps(qk, _mm256_loadu_ps(col + 8 * v)));
+      const __m256 c = _mm256_loadu_ps(col + 8 * v);
+      #pragma GCC unroll 16
+      for (int j = 0; j < R; ++j) {
+        acc[j][v] = Step256<M>(acc[j][v], _mm256_sub_ps(qv[j], c));
+      }
     }
-    acc[NV - 1] = Step256<M>(
-        acc[NV - 1],
-        _mm256_sub_ps(qk, _mm256_maskload_ps(col + 8 * (NV - 1), tail_mask)));
+    const __m256 c = _mm256_maskload_ps(col + 8 * (NV - 1), tail_mask);
+    #pragma GCC unroll 16
+    for (int j = 0; j < R; ++j) {
+      acc[j][NV - 1] = Step256<M>(acc[j][NV - 1], _mm256_sub_ps(qv[j], c));
+    }
   }
   const __m256 t = _mm256_set1_ps(threshold);
   const __m256 m = _mm256_set1_ps(margin);
-  uint64_t lo = 0;
-  uint64_t bd = 0;
-  for (int v = 0; v < NV; ++v) {
-    uint32_t lane_below, lane_band;
-    CompareLanes256(acc[v], t, m, &lane_below, &lane_band);
-    lo |= static_cast<uint64_t>(lane_below) << (8 * v);
-    bd |= static_cast<uint64_t>(lane_band) << (8 * v);
-  }
   const uint64_t valid = LowBits(8 * (NV - 1) + tail);
-  *below = lo & valid;
-  *band = bd & valid;
+  #pragma GCC unroll 16
+  for (int j = 0; j < R; ++j) {
+    uint64_t lo = 0;
+    uint64_t bd = 0;
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      uint32_t lane_below, lane_band;
+      CompareLanes256(acc[j][v], t, m, &lane_below, &lane_band);
+      lo |= static_cast<uint64_t>(lane_below) << (8 * v);
+      bd |= static_cast<uint64_t>(lane_band) << (8 * v);
+    }
+    below[j] = lo & valid;
+    band[j] = bd & valid;
+  }
+}
+
+// Blocks of up to 32 lanes for one row, 16 lanes for a tile of several:
+// R x NV accumulators, R broadcasts, a column vector, the tail mask and a
+// temporary then fit the 16 ymm registers.  The dispatch switches live in
+// the target-attributed functions, so the block bodies inline into them.
+template <Metric M, int R>
+__attribute__((target("avx2,fma"))) void ColumnBlockAvx2(
+    const float* q, size_t q_stride, const float* cols, size_t stride,
+    size_t dims, size_t nv, size_t tail, float threshold, float margin,
+    uint64_t* below, uint64_t* band) {
+  if constexpr (R == 1) {
+    switch (nv) {
+      case 1:
+        ColumnTileAvx2<M, 1, 1>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+        break;
+      case 2:
+        ColumnTileAvx2<M, 1, 2>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+        break;
+      case 3:
+        ColumnTileAvx2<M, 1, 3>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+        break;
+      default:
+        ColumnTileAvx2<M, 1, 4>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+        break;
+    }
+  } else if (nv == 1) {
+    ColumnTileAvx2<M, R, 1>(q, q_stride, cols, stride, dims, tail, threshold,
+                            margin, below, band);
+  } else {
+    ColumnTileAvx2<M, R, 2>(q, q_stride, cols, stride, dims, tail, threshold,
+                            margin, below, band);
+  }
 }
 
 template <Metric M>
@@ -444,26 +554,53 @@ __attribute__((target("avx2,fma"))) void ScoreColumnsAvx2(
     const size_t tail = n - 8 * (nv - 1);
     uint64_t b = 0;
     uint64_t r = 0;
-    switch (nv) {
-      case 1:
-        ColumnBlockAvx2<M, 1>(q, cols + lo, stride, dims, tail, threshold,
-                              margin, &b, &r);
-        break;
-      case 2:
-        ColumnBlockAvx2<M, 2>(q, cols + lo, stride, dims, tail, threshold,
-                              margin, &b, &r);
-        break;
-      case 3:
-        ColumnBlockAvx2<M, 3>(q, cols + lo, stride, dims, tail, threshold,
-                              margin, &b, &r);
-        break;
-      default:
-        ColumnBlockAvx2<M, 4>(q, cols + lo, stride, dims, tail, threshold,
-                              margin, &b, &r);
-        break;
-    }
+    ColumnBlockAvx2<M, 1>(q, 1, cols + lo, stride, dims, nv, tail, threshold,
+                          margin, &b, &r);
     *below |= b << lo;
     *band |= r << lo;
+  }
+}
+
+template <Metric M>
+__attribute__((target("avx2,fma"))) void ScoreTileAvx2(
+    const float* q, size_t q_stride, size_t rows, const float* cols,
+    size_t stride, size_t count, size_t dims, float threshold, float margin,
+    uint64_t* below, uint64_t* band) {
+  // Clear every entry the caller provides: a loop bounded by `rows` would
+  // compile to memset calls.
+  for (size_t j = 0; j < BatchDistanceKernel::kTileRows; ++j) {
+    below[j] = 0;
+    band[j] = 0;
+  }
+  const size_t block = rows == 1 ? 32 : 16;
+  for (size_t lo = 0; lo < count; lo += block) {
+    const size_t n = std::min(block, count - lo);
+    const size_t nv = (n + 7) / 8;
+    const size_t tail = n - 8 * (nv - 1);
+    uint64_t b[BatchDistanceKernel::kTileRows];
+    uint64_t r[BatchDistanceKernel::kTileRows];
+    switch (rows) {
+      case 1:
+        ColumnBlockAvx2<M, 1>(q, q_stride, cols + lo, stride, dims, nv, tail,
+                              threshold, margin, b, r);
+        break;
+      case 2:
+        ColumnBlockAvx2<M, 2>(q, q_stride, cols + lo, stride, dims, nv, tail,
+                              threshold, margin, b, r);
+        break;
+      case 3:
+        ColumnBlockAvx2<M, 3>(q, q_stride, cols + lo, stride, dims, nv, tail,
+                              threshold, margin, b, r);
+        break;
+      default:
+        ColumnBlockAvx2<M, 4>(q, q_stride, cols + lo, stride, dims, nv, tail,
+                              threshold, margin, b, r);
+        break;
+    }
+    for (size_t j = 0; j < rows; ++j) {
+      below[j] |= b[j] << lo;
+      band[j] |= r[j] << lo;
+    }
   }
 }
 #else
@@ -576,45 +713,87 @@ __attribute__((target("avx512f,avx2,fma"))) void ScoreBatchAvx512(
   }
 }
 
-// The 16-lane form of ColumnBlockAvx2: the last vector holds `tail`
+// The 16-lane form of ColumnTileAvx2: the last vector holds `tail`
 // (1..16) candidates behind a load mask, and the compares land directly in
-// mask registers.
-template <Metric M, int NV>
-__attribute__((target("avx512f,avx2,fma"))) void ColumnBlockAvx512(
-    const float* q, const float* cols, size_t stride, size_t dims,
-    size_t tail, float threshold, float margin, uint64_t* below,
+// mask registers.  A full tile (R = 4, NV = 4) keeps 16 accumulators, 4
+// broadcasts and a column vector live: 21 of the 32 zmm registers.
+template <Metric M, int R, int NV>
+__attribute__((target("avx512f,avx2,fma"))) void ColumnTileAvx512(
+    const float* q, size_t q_stride, const float* cols, size_t stride,
+    size_t dims, size_t tail, float threshold, float margin, uint64_t* below,
     uint64_t* band) {
   const auto tail_mask = static_cast<__mmask16>((1u << tail) - 1);
-  __m512 acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_ps();
+  __m512 acc[R][NV];
+  #pragma GCC unroll 16
+  for (int j = 0; j < R; ++j) {
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) acc[j][v] = _mm512_setzero_ps();
+  }
   for (size_t k = 0; k < dims; ++k) {
-    const __m512 qk = _mm512_set1_ps(q[k]);
+    const float* qk = q + k * q_stride;
     const float* col = cols + k * stride;
+    __m512 qv[R];
+    #pragma GCC unroll 16
+    for (int j = 0; j < R; ++j) qv[j] = _mm512_set1_ps(qk[j]);
+    #pragma GCC unroll 16
     for (int v = 0; v + 1 < NV; ++v) {
-      acc[v] = Step512<M>(acc[v],
-                          _mm512_sub_ps(qk, _mm512_loadu_ps(col + 16 * v)));
+      const __m512 c = _mm512_loadu_ps(col + 16 * v);
+      #pragma GCC unroll 16
+      for (int j = 0; j < R; ++j) {
+        acc[j][v] = Step512<M>(acc[j][v], _mm512_sub_ps(qv[j], c));
+      }
     }
-    acc[NV - 1] = Step512<M>(
-        acc[NV - 1],
-        _mm512_sub_ps(qk, _mm512_maskz_loadu_ps(tail_mask,
-                                                col + 16 * (NV - 1))));
+    const __m512 c = _mm512_maskz_loadu_ps(tail_mask, col + 16 * (NV - 1));
+    #pragma GCC unroll 16
+    for (int j = 0; j < R; ++j) {
+      acc[j][NV - 1] = Step512<M>(acc[j][NV - 1], _mm512_sub_ps(qv[j], c));
+    }
   }
   const __m512 t = _mm512_set1_ps(threshold);
   const __m512 m = _mm512_set1_ps(margin);
-  uint64_t lo = 0;
-  uint64_t bd = 0;
-  for (int v = 0; v < NV; ++v) {
-    const __m512 s = acc[v];
-    const __mmask16 le = _mm512_cmp_ps_mask(s, t, _CMP_LE_OQ);
-    const __mmask16 in_band = _mm512_cmp_ps_mask(
-        _mm512_abs_ps(_mm512_sub_ps(s, t)),
-        _mm512_mul_ps(m, _mm512_add_ps(s, t)), _CMP_LE_OQ);
-    lo |= static_cast<uint64_t>(le) << (16 * v);
-    bd |= static_cast<uint64_t>(in_band) << (16 * v);
-  }
   const uint64_t valid = LowBits(16 * (NV - 1) + tail);
-  *below = lo & valid;
-  *band = bd & valid;
+  #pragma GCC unroll 16
+  for (int j = 0; j < R; ++j) {
+    uint64_t lo = 0;
+    uint64_t bd = 0;
+    #pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      const __m512 s = acc[j][v];
+      const __mmask16 le = _mm512_cmp_ps_mask(s, t, _CMP_LE_OQ);
+      const __mmask16 in_band = _mm512_cmp_ps_mask(
+          _mm512_abs_ps(_mm512_sub_ps(s, t)),
+          _mm512_mul_ps(m, _mm512_add_ps(s, t)), _CMP_LE_OQ);
+      lo |= static_cast<uint64_t>(le) << (16 * v);
+      bd |= static_cast<uint64_t>(in_band) << (16 * v);
+    }
+    below[j] = lo & valid;
+    band[j] = bd & valid;
+  }
+}
+
+template <Metric M, int R>
+__attribute__((target("avx512f,avx2,fma"))) void ColumnBlockAvx512(
+    const float* q, size_t q_stride, const float* cols, size_t stride,
+    size_t dims, size_t nv, size_t tail, float threshold, float margin,
+    uint64_t* below, uint64_t* band) {
+  switch (nv) {
+    case 1:
+      ColumnTileAvx512<M, R, 1>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+      break;
+    case 2:
+      ColumnTileAvx512<M, R, 2>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+      break;
+    case 3:
+      ColumnTileAvx512<M, R, 3>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+      break;
+    default:
+      ColumnTileAvx512<M, R, 4>(q, q_stride, cols, stride, dims, tail,
+                                threshold, margin, below, band);
+      break;
+  }
 }
 
 template <Metric M>
@@ -624,22 +803,33 @@ __attribute__((target("avx512f,avx2,fma"))) void ScoreColumnsAvx512(
     uint64_t* band) {
   const size_t nv = (count + 15) / 16;  // count <= 64, so nv <= 4
   const size_t tail = count - 16 * (nv - 1);
-  switch (nv) {
+  ColumnBlockAvx512<M, 1>(q, 1, cols, stride, dims, nv, tail, threshold,
+                          margin, below, band);
+}
+
+template <Metric M>
+__attribute__((target("avx512f,avx2,fma"))) void ScoreTileAvx512(
+    const float* q, size_t q_stride, size_t rows, const float* cols,
+    size_t stride, size_t count, size_t dims, float threshold, float margin,
+    uint64_t* below, uint64_t* band) {
+  const size_t nv = (count + 15) / 16;
+  const size_t tail = count - 16 * (nv - 1);
+  switch (rows) {
     case 1:
-      ColumnBlockAvx512<M, 1>(q, cols, stride, dims, tail, threshold, margin,
-                              below, band);
+      ColumnBlockAvx512<M, 1>(q, q_stride, cols, stride, dims, nv, tail,
+                              threshold, margin, below, band);
       break;
     case 2:
-      ColumnBlockAvx512<M, 2>(q, cols, stride, dims, tail, threshold, margin,
-                              below, band);
+      ColumnBlockAvx512<M, 2>(q, q_stride, cols, stride, dims, nv, tail,
+                              threshold, margin, below, band);
       break;
     case 3:
-      ColumnBlockAvx512<M, 3>(q, cols, stride, dims, tail, threshold, margin,
-                              below, band);
+      ColumnBlockAvx512<M, 3>(q, q_stride, cols, stride, dims, nv, tail,
+                              threshold, margin, below, band);
       break;
     default:
-      ColumnBlockAvx512<M, 4>(q, cols, stride, dims, tail, threshold, margin,
-                              below, band);
+      ColumnBlockAvx512<M, 4>(q, q_stride, cols, stride, dims, nv, tail,
+                              threshold, margin, below, band);
       break;
   }
 }
@@ -709,34 +899,40 @@ KernelPath ResolvePath(KernelPath preferred) {
   return preferred;
 }
 
+/// The one-row and tile scorers of one tier; both null on the scalar path.
+struct ColumnScorers {
+  ColumnScoreFn row = nullptr;
+  TileScoreFn tile = nullptr;
+};
+
 template <Metric M>
-ColumnScoreFn ColumnScorerForMetric(KernelPath path) {
+ColumnScorers ColumnScorersForMetric(KernelPath path) {
   switch (path) {
     case KernelPath::kScalar:
-      return nullptr;
+      return {};
 #if SIMJOIN_HAVE_AVX512_PATH
     case KernelPath::kAvx512:
-      return &ScoreColumnsAvx512<M>;
+      return {&ScoreColumnsAvx512<M>, &ScoreTileAvx512<M>};
 #endif
 #if SIMJOIN_HAVE_AVX2_PATH
     case KernelPath::kAvx2:
-      return &ScoreColumnsAvx2<M>;
+      return {&ScoreColumnsAvx2<M>, &ScoreTileAvx2<M>};
 #endif
     default:
-      return &ScoreColumnsPortable<M>;
+      return {&ScoreColumnsPortable<M>, &ScoreTilePortable<M>};
   }
 }
 
-ColumnScoreFn ColumnScorerFor(KernelPath path, Metric metric) {
+ColumnScorers ColumnScorersFor(KernelPath path, Metric metric) {
   switch (metric) {
     case Metric::kL1:
-      return ColumnScorerForMetric<Metric::kL1>(path);
+      return ColumnScorersForMetric<Metric::kL1>(path);
     case Metric::kL2:
-      return ColumnScorerForMetric<Metric::kL2>(path);
+      return ColumnScorersForMetric<Metric::kL2>(path);
     case Metric::kLinf:
-      return ColumnScorerForMetric<Metric::kLinf>(path);
+      return ColumnScorersForMetric<Metric::kLinf>(path);
   }
-  return nullptr;
+  return {};
 }
 
 }  // namespace
@@ -747,8 +943,10 @@ BatchDistanceKernel::BatchDistanceKernel(Metric metric, size_t dims, double eps,
       dims_(dims),
       eps_(eps),
       margin_(RescueMargin(dims)),
-      path_(ResolvePath(preferred)),
-      column_scorer_(ColumnScorerFor(path_, metric)) {
+      path_(ResolvePath(preferred)) {
+  const ColumnScorers scorers = ColumnScorersFor(path_, metric);
+  column_scorer_ = scorers.row;
+  tile_scorer_ = scorers.tile;
   SetEpsilon(eps);
 }
 
@@ -955,16 +1153,51 @@ uint64_t BatchDistanceKernel::FilterWithinEpsilonColumns(const float* query,
   return in;
 }
 
-size_t BatchDistanceKernel::CountWithinEpsilon(const float* query,
-                                               const float* const* rows,
-                                               size_t count) {
-  uint8_t mask[kTileCapacity];
-  size_t kept = 0;
-  for (size_t i = 0; i < count; i += kTileCapacity) {
-    const size_t chunk = std::min(kTileCapacity, count - i);
-    kept += FilterWithinEpsilon(query, rows + i, chunk, mask);
+void BatchDistanceKernel::FilterTileColumns(const float* query_cols,
+                                            size_t query_stride, size_t rows,
+                                            const float* cols,
+                                            size_t col_stride, size_t count,
+                                            uint64_t* out_masks) {
+  if (count == 0) {
+    std::fill(out_masks, out_masks + rows, uint64_t{0});
+    return;
   }
-  return kept;
+  // Row j as a contiguous query, gathered from its column for rescues.
+  auto query_row = [&](size_t j) -> const float* {
+    gathered_query_.resize(dims_);
+    for (size_t k = 0; k < dims_; ++k) {
+      gathered_query_[k] = query_cols[k * query_stride + j];
+    }
+    return gathered_query_.data();
+  };
+  if (tile_scorer_ == nullptr) {
+    for (size_t j = 0; j < rows; ++j) {
+      const float* query = query_row(j);
+      uint64_t in = 0;
+      for (size_t i = 0; i < count; ++i) {
+        if (RescueColumn(query, cols, col_stride, i)) in |= uint64_t{1} << i;
+      }
+      out_masks[j] = in;
+    }
+    return;
+  }
+  ++simd_batches_;
+  uint64_t below[kTileRows];
+  uint64_t band[kTileRows];
+  tile_scorer_(query_cols, query_stride, rows, cols, col_stride, count,
+               dims_, threshold_, margin_, below, band);
+  for (size_t j = 0; j < rows; ++j) {
+    uint64_t in = below[j] & ~band[j];
+    uint64_t rescue = band[j];
+    if (rescue != 0) {
+      const float* query = query_row(j);
+      for (; rescue != 0; rescue &= rescue - 1) {
+        const auto i = static_cast<size_t>(std::countr_zero(rescue));
+        if (RescueColumn(query, cols, col_stride, i)) in |= uint64_t{1} << i;
+      }
+    }
+    out_masks[j] = in;
+  }
 }
 
 size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
@@ -994,32 +1227,70 @@ size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
   return kept;
 }
 
-size_t FilterColumnRunAndEmit(BatchDistanceKernel& kernel, PointId query_id,
-                              const float* query_row, const float* cols,
-                              size_t col_stride, const PointId* cand_ids,
-                              size_t count, bool canonical_order,
-                              PairSink& sink, JoinStats& stats) {
+size_t FilterColumnTileAndEmit(BatchDistanceKernel& kernel,
+                               const PointId* query_ids,
+                               const float* query_cols, size_t query_stride,
+                               size_t rows, const float* cols,
+                               size_t col_stride, const PointId* cand_ids,
+                               size_t count, bool triangular,
+                               bool canonical_order, PairSink& sink,
+                               JoinStats& stats) {
   constexpr size_t kRun = BatchDistanceKernel::kColumnRunCapacity;
-  IdPair out[kRun];
-  size_t emitted = 0;
-  stats.candidate_pairs += count;
-  stats.distance_calls += count;
-  for (size_t lo = 0; lo < count; lo += kRun) {
-    const size_t n = std::min(kRun, count - lo);
-    uint64_t bits =
-        kernel.FilterWithinEpsilonColumns(query_row, cols + lo, col_stride, n);
-    size_t m = 0;
-    for (; bits != 0; bits &= bits - 1) {
-      PointId a = query_id;
-      PointId b = cand_ids[lo + std::countr_zero(bits)];
-      if (canonical_order && a > b) std::swap(a, b);
-      out[m++] = IdPair(a, b);
-    }
-    if (m == 0) continue;
-    stats.pairs_emitted += m;
-    emitted += m;
-    sink.EmitBatch(std::span<const IdPair>(out, m));
+  constexpr size_t kRows = BatchDistanceKernel::kTileRows;
+  // Masks of every run, so each row can be emitted across all runs before
+  // the next row.  Windows over leaves wider than kStackRuns runs (large
+  // duplicate groups) spill to the heap.
+  constexpr size_t kStackRuns = 8;
+  if (count == 0) return 0;
+  const size_t runs = (count + kRun - 1) / kRun;
+  uint64_t stack_masks[kStackRuns * kRows];
+  std::vector<uint64_t> heap_masks;
+  uint64_t* masks = stack_masks;
+  if (runs > kStackRuns) {
+    heap_masks.resize(runs * kRows);
+    masks = heap_masks.data();
   }
+  stats.candidate_pairs += rows * count;
+  stats.distance_calls += rows * count;
+  for (size_t r = 0; r < runs; ++r) {
+    const size_t lo = r * kRun;
+    kernel.FilterTileColumns(query_cols, query_stride, rows, cols + lo,
+                             col_stride, std::min(kRun, count - lo),
+                             masks + r * kRows);
+  }
+  if (triangular) {
+    // Row j < kRows <= kRun, so only the first run holds rows at or before
+    // it.
+    for (size_t j = 1; j < rows; ++j) masks[j] &= ~LowBits(j);
+  }
+
+  constexpr size_t kOut = kRows * kRun;
+  PairScratch<kOut> out;
+  size_t m = 0;
+  size_t emitted = 0;
+  for (size_t j = 0; j < rows; ++j) {
+    const PointId query_id = query_ids[j];
+    for (size_t r = 0; r < runs; ++r) {
+      if (m + kRun > kOut) {
+        sink.EmitBatch(out.First(m));
+        emitted += m;
+        m = 0;
+      }
+      const PointId* ids = cand_ids + r * kRun;
+      for (uint64_t bits = masks[r * kRows + j]; bits != 0;
+           bits &= bits - 1) {
+        PointId a = query_id;
+        PointId b = ids[std::countr_zero(bits)];
+        if (canonical_order && a > b) std::swap(a, b);
+        out.Put(m++, a, b);
+      }
+    }
+  }
+  if (m != 0) {
+    sink.EmitBatch(out.First(m));
+    emitted += m;
+  }
+  stats.pairs_emitted += emitted;
   return emitted;
 }
 

@@ -12,7 +12,9 @@
 //    holds dims of one candidate and is summed across lanes;
 //  * dims-major column runs (the flat tree's leaf blocks): each vector
 //    lane holds one candidate, 16 (AVX-512) or 8 (AVX2) candidates are
-//    scored in lockstep, and the survivors come back as a bitmask.
+//    scored in lockstep, and the survivors come back as a bitmask — one
+//    per query row of a register tile, which scores up to kTileRows query
+//    rows per loaded column vector.
 //
 // Exactness is preserved by a rescue band: a candidate whose float score
 // lands within the accumulated rounding-error margin of the threshold is
@@ -79,9 +81,10 @@ class BatchDistanceKernel {
                                     uint8_t* out_mask,
                                     const float* prefetch = nullptr);
 
-  /// Most candidates one FilterWithinEpsilonColumns call scores: one bit
-  /// each in the returned mask.
+  /// Most candidates one column-run call scores: one bit each in a mask.
   static constexpr size_t kColumnRunCapacity = 64;
+  /// Most query rows one FilterTileColumns call scores (the register tile).
+  static constexpr size_t kTileRows = 4;
 
   /// Candidate-parallel filter over dims-major storage: coordinate k of
   /// candidate i is cols[k * col_stride + i], for i in [0, count) and
@@ -89,13 +92,22 @@ class BatchDistanceKernel {
   /// dist(query, candidate i) <= eps — bit-identical to the scalar
   /// WithinEpsilon per candidate.  Each column is read only at
   /// [k * col_stride, k * col_stride + count): vector tails use masked
-  /// loads, so a run may end exactly at the end of a mapping.
+  /// loads, so a run may end exactly at the end of a mapping.  The vector
+  /// tiers run the one-row instance of FilterTileColumns' tile code.
   uint64_t FilterWithinEpsilonColumns(const float* query, const float* cols,
                                       size_t col_stride, size_t count);
 
-  /// Counts candidates within eps without producing a mask.
-  size_t CountWithinEpsilon(const float* query, const float* const* rows,
-                            size_t count);
+  /// Register-tiled column filter: `rows` (1..kTileRows) query rows, also
+  /// dims-major — coordinate k of query row j is
+  /// query_cols[k * query_stride + j] — against one column run laid out as
+  /// for FilterWithinEpsilonColumns.  Bit i of out_masks[j] is set iff
+  /// dist(query row j, candidate i) <= eps.  Each column vector is loaded
+  /// once for all rows; each lane accumulates exactly as the one-row
+  /// filter does, so out_masks[j] equals FilterWithinEpsilonColumns for
+  /// row j alone, rescues included.  Counts as one SIMD batch.
+  void FilterTileColumns(const float* query_cols, size_t query_stride,
+                         size_t rows, const float* cols, size_t col_stride,
+                         size_t count, uint64_t* out_masks);
 
   /// Narrows the threshold (the eps-k-d-B query-epsilon override path).
   void SetEpsilon(double eps);
@@ -157,6 +169,13 @@ class BatchDistanceKernel {
                                 size_t col_stride, size_t count, size_t dims,
                                 float threshold, float margin,
                                 uint64_t* below, uint64_t* band);
+  /// The same for a tile of `rows` query rows: two masks per row, in
+  /// arrays of kTileRows entries.
+  using TileScorer = void (*)(const float* query_cols, size_t query_stride,
+                              size_t rows, const float* cols,
+                              size_t col_stride, size_t count, size_t dims,
+                              float threshold, float margin, uint64_t* below,
+                              uint64_t* band);
 
   DistanceKernel scalar_;
   size_t dims_;
@@ -165,7 +184,9 @@ class BatchDistanceKernel {
   float margin_;     ///< half-width of the rescue band around threshold_
   KernelPath path_;
   ColumnScorer column_scorer_ = nullptr;  ///< null on the scalar path
+  TileScorer tile_scorer_ = nullptr;      ///< null on the scalar path
   std::vector<float> gathered_row_;  ///< RescueColumn scratch, grown lazily
+  std::vector<float> gathered_query_;  ///< tile-row rescue scratch
   uint64_t simd_batches_ = 0;
   uint64_t scalar_fallbacks_ = 0;
 };
@@ -207,17 +228,28 @@ size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
                          bool canonical_order, PairSink& sink,
                          JoinStats& stats);
 
-/// Filters a dims-major run of candidates (coordinate k of candidate i at
-/// cols[k * col_stride + i], id cand_ids[i]) against one query point,
-/// kColumnRunCapacity candidates per kernel call, emitting survivors in run
-/// order and updating counters exactly like FilterTileAndEmit.  This is the
-/// flat-tree hot path: a sliding window over a leaf is one contiguous run
-/// of each of the leaf's columns.  Returns the number of pairs emitted.
-size_t FilterColumnRunAndEmit(BatchDistanceKernel& kernel, PointId query_id,
-                              const float* query_row, const float* cols,
-                              size_t col_stride, const PointId* cand_ids,
-                              size_t count, bool canonical_order,
-                              PairSink& sink, JoinStats& stats);
+/// Filters a register tile — `rows` (1..kTileRows) query rows with ids
+/// query_ids[j], coordinate k of row j at query_cols[k * query_stride + j]
+/// — against a dims-major run of `count` candidates (coordinate k of
+/// candidate i at cols[k * col_stride + i], id cand_ids[i]), one
+/// FilterTileColumns call per kColumnRunCapacity candidates.  Survivors
+/// are emitted row by row, each row's in run order — the sequence a
+/// one-row filter per query row gives — normally as one EmitBatch per
+/// tile.  With `triangular` set, row j pairs only with candidates
+/// i >= j: the tile is rows r..r+rows-1 of a leaf and the run starts at
+/// row r+1, so each row skips itself and the rows before it.  Counters are
+/// updated like FilterTileAndEmit's, with every scored (row, candidate)
+/// lane counted.  This is the flat-tree join's hot path: a leaf block's
+/// rows are a tile, and a window over the other leaf is one contiguous run
+/// of each of its columns.  Returns the number of pairs emitted.
+size_t FilterColumnTileAndEmit(BatchDistanceKernel& kernel,
+                               const PointId* query_ids,
+                               const float* query_cols, size_t query_stride,
+                               size_t rows, const float* cols,
+                               size_t col_stride, const PointId* cand_ids,
+                               size_t count, bool triangular,
+                               bool canonical_order, PairSink& sink,
+                               JoinStats& stats);
 
 }  // namespace simjoin
 

@@ -119,11 +119,15 @@ class Result {
   std::variant<T, Status> payload_;
 };
 
-/// Propagates a non-OK Status out of the enclosing function.
-#define SIMJOIN_RETURN_NOT_OK(expr)                \
-  do {                                             \
-    ::simjoin::Status _st = (expr);                \
-    if (!_st.ok()) return _st;                     \
+/// Propagates a non-OK Status out of the enclosing function.  Each
+/// expansion names its temporary uniquely, so a lambda inside `expr` may
+/// use the macro again without shadowing the outer temporary.
+#define SIMJOIN_RETURN_NOT_OK(expr) \
+  SIMJOIN_RETURN_NOT_OK_IMPL_(expr, SIMJOIN_CONCAT_(_st_, __COUNTER__))
+#define SIMJOIN_RETURN_NOT_OK_IMPL_(expr, st) \
+  do {                                        \
+    ::simjoin::Status st = (expr);            \
+    if (!st.ok()) return st;                  \
   } while (0)
 
 /// Assigns the value of a Result expression to lhs, or propagates its error.

@@ -65,12 +65,6 @@ inline uint32_t SelfWindowEnd(const float* col, uint32_t begin, uint32_t end,
   return begin;
 }
 
-/// Copies row r of a dims-major block (column stride `stride`) into out.
-inline void GatherRow(const float* cols, size_t stride, size_t dims,
-                      uint32_t r, float* out) {
-  for (size_t k = 0; k < dims; ++k) out[k] = cols[k * stride + r];
-}
-
 /// Filters rows [wb, we) of a leaf block (columns `cols`, stride `stride`,
 /// ids `ids`) against the query, appending the surviving ids in row order.
 /// RangeQuery and RangeQueryBatch both scan through here, so their kernel

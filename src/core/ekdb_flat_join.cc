@@ -20,8 +20,7 @@ FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& tree,
       sliding_window_(tree.config().sliding_window_leaf_join),
       self_mode_(true),
       batch_(tree.config().metric, tree.dims(), tree.config().epsilon),
-      buffered_(sink),
-      query_row_(tree.dims()) {}
+      buffered_(sink) {}
 
 FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& a,
                                          const FlatEkdbTree& b,
@@ -35,35 +34,49 @@ FlatEkdbJoinContext::FlatEkdbJoinContext(const FlatEkdbTree& a,
                       b.config().sliding_window_leaf_join),
       self_mode_(false),
       batch_(a.config().metric, a.dims(), a.config().epsilon),
-      buffered_(sink),
-      query_row_(a.dims()) {}
+      buffered_(sink) {}
+
+// Both leaf joins walk the query leaf kTileRows rows at a time and score
+// each tile straight from the leaf's columns.  A candidate leaf that fits
+// one column run is scored whole: a sort-column search could not save a
+// kernel call there.  Wider leaves keep the sliding window at tile
+// granularity, scoring the union of the tile rows' windows.  Each row
+// emits its survivors in ascending candidate order, so the pair sequence
+// is the one a per-row window walk gives: the window is conservative, and
+// candidates outside a row's own window fail the exact test anyway.
 
 void FlatEkdbJoinContext::LeafSelfJoin(const FlatEkdbNode& leaf) {
   SIMJOIN_TRACE_SPAN("join.simd_filter");
+  constexpr uint32_t kRows = BatchDistanceKernel::kTileRows;
   const uint32_t size = leaf.subtree_points();
   const float* cols = a_tree_.leaf_columns(leaf);
   const PointId* ids = a_tree_.arena_ids_data() + leaf.arena_begin;
   const float* key = cols + static_cast<size_t>(leaf.sort_dim) * size;
-  for (uint32_t i = 0; i < size; ++i) {
-    // The leaf is sorted on sort_dim, so every partner of row i within the
-    // epsilon window on that coordinate is the run of rows starting at
-    // i + 1 — one contiguous run of every column.
-    uint32_t run_end = size;
-    if (sliding_window_) {
-      run_end = flat_internal::SelfWindowEnd(
-          key, i + 1, size, static_cast<double>(key[i]), epsilon_);
+  const bool window =
+      sliding_window_ && size > BatchDistanceKernel::kColumnRunCapacity;
+  for (uint32_t i = 0; i < size; i += kRows) {
+    const uint32_t rows = std::min(kRows, size - i);
+    // Every partner of row i+j comes after it, so the tile's candidates
+    // start at row i+1; with the window they end where the last row's
+    // window ends (the leaf is sorted on sort_dim, so window ends ascend).
+    uint32_t end = size;
+    if (window) {
+      end = flat_internal::SelfWindowEnd(
+          key, i + rows, size, static_cast<double>(key[i + rows - 1]),
+          epsilon_);
     }
-    if (run_end <= i + 1) continue;
-    flat_internal::GatherRow(cols, size, dims_, i, query_row_.data());
-    FilterColumnRunAndEmit(batch_, ids[i], query_row_.data(), cols + i + 1,
-                           size, ids + i + 1, run_end - (i + 1),
-                           /*canonical_order=*/true, buffered_, stats_);
+    if (end <= i + 1) continue;
+    FilterColumnTileAndEmit(batch_, ids + i, cols + i, size, rows,
+                            cols + i + 1, size, ids + i + 1, end - (i + 1),
+                            /*triangular=*/true, /*canonical_order=*/true,
+                            buffered_, stats_);
   }
 }
 
 void FlatEkdbJoinContext::LeafCrossJoin(const FlatEkdbNode& a,
                                         const FlatEkdbNode& b) {
   SIMJOIN_TRACE_SPAN("join.simd_filter");
+  constexpr uint32_t kRows = BatchDistanceKernel::kTileRows;
   const uint32_t a_size = a.subtree_points();
   const uint32_t b_size = b.subtree_points();
   if (b_size == 0) return;
@@ -71,43 +84,43 @@ void FlatEkdbJoinContext::LeafCrossJoin(const FlatEkdbNode& a,
   const float* b_cols = b_tree_.leaf_columns(b);
   const PointId* a_ids = a_tree_.arena_ids_data() + a.arena_begin;
   const PointId* b_ids = b_tree_.arena_ids_data() + b.arena_begin;
-  float* a_row = query_row_.data();
-  if (!sliding_window_) {
-    for (uint32_t i = 0; i < a_size; ++i) {
-      flat_internal::GatherRow(a_cols, a_size, dims_, i, a_row);
-      FilterColumnRunAndEmit(batch_, a_ids[i], a_row, b_cols, b_size, b_ids,
-                             b_size, self_mode_, buffered_, stats_);
+  if (!sliding_window_ || b_size <= BatchDistanceKernel::kColumnRunCapacity) {
+    for (uint32_t i = 0; i < a_size; i += kRows) {
+      FilterColumnTileAndEmit(batch_, a_ids + i, a_cols + i, a_size,
+                              std::min(kRows, a_size - i), b_cols, b_size,
+                              b_ids, b_size, /*triangular=*/false, self_mode_,
+                              buffered_, stats_);
     }
     return;
   }
-  // Window on the candidate side's sort dimension, so the window is always a
-  // contiguous run of b's rows.  When the query side happens to be sorted on
-  // the same dimension the window start advances monotonically; otherwise
-  // (leaves at different depths) each query row binary-searches its window
-  // — no re-sorting of either side is needed, unlike the pointer-tree path.
+  // Window on the candidate side's sort dimension, so the window is always
+  // a contiguous run of b's rows: the union of the tile rows' windows is
+  // found with two searches.  When the query side is sorted on the same
+  // dimension its first and last rows bound the tile's keys; otherwise
+  // (leaves at different depths) the tile's keys are scanned for them.
   const uint32_t dim = b.sort_dim;
   const bool same_dim = a.sort_dim == b.sort_dim;
   const float* a_key = a_cols + static_cast<size_t>(dim) * a_size;
   const float* b_key = b_cols + static_cast<size_t>(dim) * b_size;
-  uint32_t window_start = 0;
-  for (uint32_t i = 0; i < a_size; ++i) {
-    const double lo = static_cast<double>(a_key[i]) - epsilon_;
-    const double hi = static_cast<double>(a_key[i]) + epsilon_;
-    uint32_t wb;
-    if (same_dim) {
-      while (window_start < b_size &&
-             static_cast<double>(b_key[window_start]) < lo) {
-        ++window_start;
-      }
-      wb = window_start;
-    } else {
-      wb = flat_internal::LowerBoundRow(b_key, 0, b_size, lo);
+  for (uint32_t i = 0; i < a_size; i += kRows) {
+    const uint32_t rows = std::min(kRows, a_size - i);
+    float key_lo = a_key[i];
+    float key_hi = a_key[i + rows - 1];
+    if (!same_dim) {
+      const auto [lo_it, hi_it] =
+          std::minmax_element(a_key + i, a_key + i + rows);
+      key_lo = *lo_it;
+      key_hi = *hi_it;
     }
-    const uint32_t we = flat_internal::UpperBoundRow(b_key, wb, b_size, hi);
+    const uint32_t wb = flat_internal::LowerBoundRow(
+        b_key, 0, b_size, static_cast<double>(key_lo) - epsilon_);
+    const uint32_t we = flat_internal::UpperBoundRow(
+        b_key, wb, b_size, static_cast<double>(key_hi) + epsilon_);
     if (we <= wb) continue;
-    flat_internal::GatherRow(a_cols, a_size, dims_, i, a_row);
-    FilterColumnRunAndEmit(batch_, a_ids[i], a_row, b_cols + wb, b_size,
-                           b_ids + wb, we - wb, self_mode_, buffered_, stats_);
+    FilterColumnTileAndEmit(batch_, a_ids + i, a_cols + i, a_size, rows,
+                            b_cols + wb, b_size, b_ids + wb, we - wb,
+                            /*triangular=*/false, self_mode_, buffered_,
+                            stats_);
   }
 }
 

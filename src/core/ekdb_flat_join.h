@@ -6,15 +6,14 @@
 // the contiguous node array and the leaf sweeps feed the dims-major leaf
 // blocks straight into the candidate-parallel column kernel: a sliding
 // window over a leaf sorted on its sort dimension is one contiguous run of
-// each column, scored one candidate per SIMD lane, so the hot loop performs
-// no per-candidate gather at all.  Emitted pair sets are bit-identical to
+// each column, scored one candidate per SIMD lane against a register tile
+// of four query rows read from the query leaf's columns, so the hot loop
+// gathers no row at all.  Emitted pair sets are bit-identical to
 // the pointer-tree joins for every metric (the window bounds are
 // conservative and the batch kernel's accept decision is exact).
 
 #ifndef SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
 #define SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
-
-#include <vector>
 
 #include "common/pair_sink.h"
 #include "common/simd_kernel.h"
@@ -98,7 +97,6 @@ class FlatEkdbJoinContext {
   BatchDistanceKernel batch_;
   BufferedSink buffered_;
   JoinStats stats_;
-  std::vector<float> query_row_;  ///< query row gathered from leaf columns
 };
 
 }  // namespace internal

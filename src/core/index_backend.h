@@ -140,7 +140,9 @@ class IndexBackend {
   /// Model lower bound on the recall of one range query at eps_query
   /// (exact backends: 1.0; LSH: the collision-probability bound at the
   /// worst case, distance == eps_query).
-  virtual double ExpectedRecall(double eps_query) const { return 1.0; }
+  virtual double ExpectedRecall(double /*eps_query*/) const {
+    return 1.0;
+  }
 
   /// The flat tree when this backend is tree-backed (cross-joins need the
   /// concrete structure for compatibility checks); nullptr otherwise.

@@ -9,6 +9,7 @@
 #include <random>
 
 #include "common/logging.h"
+#include "service/wire_words.h"
 
 namespace simjoin {
 namespace {
@@ -119,20 +120,23 @@ void WireWriter::String(const std::string& s) {
 }
 
 void WireWriter::FloatArray(std::span<const float> values) {
-  // Floats go on the wire as little-endian u32 bit patterns; on LE hosts
-  // this is a straight memcpy.
-  if (values.empty()) return;  // empty span's data() may be null
+  // Floats go on the wire as little-endian u32 bit patterns.
   const size_t start = buf_.size();
   buf_.resize(start + values.size() * 4);
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(buf_.data() + start, values.data(), values.size() * 4);
-  } else {
-    uint8_t* out = buf_.data() + start;
-    for (const float v : values) {
-      const uint32_t bits = std::bit_cast<uint32_t>(v);
-      for (int i = 0; i < 4; ++i) *out++ = static_cast<uint8_t>(bits >> (8 * i));
-    }
-  }
+  wire_words::PutWords<wire_words::kNativeMemcpy>(values, buf_.data() + start);
+}
+
+void WireWriter::U32Array(std::span<const uint32_t> values) {
+  const size_t start = buf_.size();
+  buf_.resize(start + values.size() * 4);
+  wire_words::PutWords<wire_words::kNativeMemcpy>(values, buf_.data() + start);
+}
+
+void WireWriter::U32PairArray(std::span<const IdPair> pairs) {
+  const size_t start = buf_.size();
+  buf_.resize(start + pairs.size() * 8);
+  wire_words::PutIdPairs<wire_words::kNativeMemcpy>(pairs,
+                                                    buf_.data() + start);
 }
 
 size_t WireWriter::BeginTag(uint8_t tag) {
@@ -222,27 +226,42 @@ Status WireReader::String(std::string* s, uint32_t max_len) {
   return Status::OK();
 }
 
+// The array readers divide instead of multiplying, so a hostile count
+// cannot wrap the byte-size computation, and check it before allocating.
+
 Status WireReader::FloatArray(size_t count, std::vector<float>* out) {
-  // Divide instead of multiplying so a hostile count cannot wrap the
-  // byte-size computation.
   if (count > (data_.size() - pos_) / 4) {
     return Status::OutOfRange("float array of " + std::to_string(count) +
                               " elements exceeds payload");
   }
   out->resize(count);
-  if (count == 0) return Status::OK();  // out->data() may be null when empty
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out->data(), data_.data() + pos_, count * 4);
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      uint32_t bits = 0;
-      for (int b = 0; b < 4; ++b) {
-        bits |= static_cast<uint32_t>(data_[pos_ + i * 4 + b]) << (8 * b);
-      }
-      (*out)[i] = std::bit_cast<float>(bits);
-    }
-  }
+  wire_words::GetWords<wire_words::kNativeMemcpy>(data_.data() + pos_,
+                                                  std::span<float>(*out));
   pos_ += count * 4;
+  return Status::OK();
+}
+
+Status WireReader::U32Array(size_t count, std::vector<uint32_t>* out) {
+  if (count > (data_.size() - pos_) / 4) {
+    return Status::OutOfRange("u32 array of " + std::to_string(count) +
+                              " elements exceeds payload");
+  }
+  out->resize(count);
+  wire_words::GetWords<wire_words::kNativeMemcpy>(data_.data() + pos_,
+                                                  std::span<uint32_t>(*out));
+  pos_ += count * 4;
+  return Status::OK();
+}
+
+Status WireReader::U32PairArray(size_t count, std::vector<IdPair>* out) {
+  if (count > (data_.size() - pos_) / 8) {
+    return Status::OutOfRange("pair array of " + std::to_string(count) +
+                              " elements exceeds payload");
+  }
+  out->resize(count);
+  wire_words::GetIdPairs<wire_words::kNativeMemcpy>(data_.data() + pos_,
+                                                    std::span<IdPair>(*out));
+  pos_ += count * 8;
   return Status::OK();
 }
 
@@ -266,22 +285,34 @@ Status WireReader::ExpectEnd() const {
 // Frame encode / decode
 // --------------------------------------------------------------------------
 
-std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
-                                 uint32_t deadline_ms,
-                                 std::span<const uint8_t> payload) {
+namespace {
+
+/// Starts a frame in *w: reserves room for the whole frame and writes the
+/// fixed header.
+void BeginFrame(FrameType type, uint64_t request_id, uint32_t deadline_ms,
+                size_t payload_size, WireWriter* w) {
   // The size field is u32; silently truncating it would desync the stream
   // while still writing every payload byte.  Callers bound payloads first
   // (the server caps responses at max_frame_payload), so tripping this is
   // a local logic bug, not an attacker-reachable path.
-  SIMJOIN_CHECK_LE(payload.size(), UINT32_MAX) << "frame payload too large";
+  SIMJOIN_CHECK_LE(payload_size, UINT32_MAX) << "frame payload too large";
+  w->Reserve(kFrameHeaderSize + payload_size);
+  w->U32(kWireMagic);
+  w->U8(kWireVersion);
+  w->U8(static_cast<uint8_t>(type));
+  w->U16(0);  // reserved
+  w->U32(static_cast<uint32_t>(payload_size));
+  w->U32(deadline_ms);
+  w->U64(request_id);
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
+                                 uint32_t deadline_ms,
+                                 std::span<const uint8_t> payload) {
   WireWriter w;
-  w.U32(kWireMagic);
-  w.U8(kWireVersion);
-  w.U8(static_cast<uint8_t>(type));
-  w.U16(0);  // reserved
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.U32(deadline_ms);
-  w.U64(request_id);
+  BeginFrame(type, request_id, deadline_ms, payload.size(), &w);
   w.Bytes(payload.data(), payload.size());
   return w.Take();
 }
@@ -665,7 +696,7 @@ std::vector<uint8_t> EncodeRangeQueryResponse(const RangeQueryResponse& resp) {
   w.U32(static_cast<uint32_t>(resp.results.size()));
   for (const auto& ids : resp.results) {
     w.U32(static_cast<uint32_t>(ids.size()));
-    for (const PointId id : ids) w.U32(id);
+    w.U32Array(ids);
   }
   EncodeJoinStats(resp.stats, &w);
   if (resp.has_planner) {
@@ -696,13 +727,7 @@ Status ParseRangeQueryResponse(std::span<const uint8_t> payload,
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t m = 0;
     SIMJOIN_RETURN_NOT_OK(r.U32(&m));
-    if (static_cast<uint64_t>(m) * 4 > r.remaining()) {
-      return Status::OutOfRange("id list exceeds payload");
-    }
-    out->results[i].resize(m);
-    for (uint32_t j = 0; j < m; ++j) {
-      SIMJOIN_RETURN_NOT_OK(r.U32(&out->results[i][j]));
-    }
+    SIMJOIN_RETURN_NOT_OK(r.U32Array(m, &out->results[i]));
   }
   SIMJOIN_RETURN_NOT_OK(ParseJoinStats(&r, &out->stats));
   TagValues tags;
@@ -757,13 +782,30 @@ Status ParseSimilarityJoinRequest(std::span<const uint8_t> payload,
   return ParseTraceTags(&r, &out->trace);
 }
 
+namespace {
+
+size_t JoinChunkSize(size_t pairs) { return 4 + pairs * 8; }
+
+void EncodeJoinChunkBody(std::span<const IdPair> pairs, WireWriter* w) {
+  w->U32(static_cast<uint32_t>(pairs.size()));
+  w->U32PairArray(pairs);
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeJoinChunk(std::span<const IdPair> pairs) {
   WireWriter w;
-  w.U32(static_cast<uint32_t>(pairs.size()));
-  for (const IdPair& p : pairs) {
-    w.U32(p.first);
-    w.U32(p.second);
-  }
+  w.Reserve(JoinChunkSize(pairs.size()));
+  EncodeJoinChunkBody(pairs, &w);
+  return w.Take();
+}
+
+std::vector<uint8_t> EncodeJoinChunkFrame(uint64_t request_id,
+                                          std::span<const IdPair> pairs) {
+  WireWriter w;
+  BeginFrame(FrameType::kJoinChunk, request_id, 0, JoinChunkSize(pairs.size()),
+             &w);
+  EncodeJoinChunkBody(pairs, &w);
   return w.Take();
 }
 
@@ -771,14 +813,7 @@ Status ParseJoinChunk(std::span<const uint8_t> payload, JoinChunk* out) {
   WireReader r(payload);
   uint32_t count = 0;
   SIMJOIN_RETURN_NOT_OK(r.U32(&count));
-  if (static_cast<uint64_t>(count) * 8 > r.remaining()) {
-    return Status::OutOfRange("join chunk count exceeds payload");
-  }
-  out->pairs.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SIMJOIN_RETURN_NOT_OK(r.U32(&out->pairs[i].first));
-    SIMJOIN_RETURN_NOT_OK(r.U32(&out->pairs[i].second));
-  }
+  SIMJOIN_RETURN_NOT_OK(r.U32PairArray(count, &out->pairs));
   return SkipTags(&r);
 }
 

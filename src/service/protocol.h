@@ -129,6 +129,12 @@ class WireWriter {
   void String(const std::string& s);
   /// Raw float array, no length prefix (callers encode counts themselves).
   void FloatArray(std::span<const float> values);
+  /// Raw u32 array, no length prefix: a memcpy on little-endian hosts.
+  void U32Array(std::span<const uint32_t> values);
+  /// Raw id pairs, each as two u32s (first, second), no length prefix.
+  void U32PairArray(std::span<const IdPair> pairs);
+  /// Grows the buffer's capacity to at least n bytes.
+  void Reserve(size_t n) { buf_.reserve(n); }
   /// Opens one tag entry: writes the tag and a length placeholder, and
   /// returns the mark EndTag needs to patch the length once the value is
   /// written.
@@ -158,6 +164,10 @@ class WireReader {
   Status String(std::string* s, uint32_t max_len = 4096);
   /// Reads exactly count floats.
   Status FloatArray(size_t count, std::vector<float>* out);
+  /// Reads exactly count u32s.
+  Status U32Array(size_t count, std::vector<uint32_t>* out);
+  /// Reads exactly count id pairs written by WireWriter::U32PairArray.
+  Status U32PairArray(size_t count, std::vector<IdPair>* out);
   /// Returns the next len bytes as a view into the payload.
   Status Bytes(size_t len, std::span<const uint8_t>* out);
 
@@ -475,6 +485,11 @@ Status ParseSimilarityJoinRequest(std::span<const uint8_t> payload,
                                   SimilarityJoinRequest* out);
 
 std::vector<uint8_t> EncodeJoinChunk(std::span<const IdPair> pairs);
+/// The whole kJoinChunk frame — the bytes of EncodeFrame(kJoinChunk,
+/// request_id, 0, EncodeJoinChunk(pairs)) — encoded straight into one
+/// buffer, without a separate payload to copy.
+std::vector<uint8_t> EncodeJoinChunkFrame(uint64_t request_id,
+                                          std::span<const IdPair> pairs);
 Status ParseJoinChunk(std::span<const uint8_t> payload, JoinChunk* out);
 
 std::vector<uint8_t> EncodeJoinDone(const JoinDone& done);

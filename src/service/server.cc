@@ -97,6 +97,8 @@ struct ServiceMetrics {
       case BackendKind::kEpsilonGrid: return planner_routed_grid;
       case BackendKind::kLsh: return planner_routed_lsh;
       case BackendKind::kBruteSimd: return planner_routed_brute;
+      // The updatable tier serves through its flat-tree base.
+      case BackendKind::kUpdatable: return planner_routed_ekdb;
     }
     return planner_routed_ekdb;
   }
@@ -362,8 +364,7 @@ struct Server::Impl {
       if (buffer_.empty()) return;
       if (!dropped_) {
         if (impl_->EnqueueStreamFrame(
-                conn_, EncodeFrame(FrameType::kJoinChunk, request_id_, 0,
-                                   EncodeJoinChunk(buffer_)))) {
+                conn_, EncodeJoinChunkFrame(request_id_, buffer_))) {
           total_ += buffer_.size();
           impl_->pairs_streamed.fetch_add(buffer_.size(),
                                           std::memory_order_relaxed);

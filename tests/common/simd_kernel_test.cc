@@ -54,18 +54,14 @@ TEST_P(BatchKernelDifferentialTest, MatchesScalarReferenceOnRandomData) {
       std::vector<uint8_t> mask(n);
       for (size_t q = 0; q < 64; ++q) {
         const float* query = data.Row(static_cast<PointId>(q * 7 % n));
-        size_t expected_kept = 0;
         batch.FilterWithinEpsilon(query, rows.data(), n, mask.data());
         for (size_t i = 0; i < n; ++i) {
           const bool expected = reference.WithinEpsilon(query, rows[i], dims, eps);
-          expected_kept += expected;
           ASSERT_EQ(expected, mask[i] != 0)
               << "path=" << static_cast<int>(path)
               << " metric=" << MetricName(metric) << " dims=" << dims
               << " eps=" << eps << " candidate=" << i;
         }
-        EXPECT_EQ(expected_kept,
-                  batch.CountWithinEpsilon(query, rows.data(), n));
       }
     }
   }
@@ -120,8 +116,9 @@ TEST_P(BatchKernelDifferentialTest, StridedMatchesGatheredExactly) {
   }
 }
 
-/// FilterColumnRunAndEmit over a dims-major copy of the rows must report the
-/// same pair sequence and counters as the gathered-tile loop over the rows.
+/// A one-row FilterColumnTileAndEmit over a dims-major copy of the rows
+/// must report the same pair sequence and counters as the gathered-tile
+/// loop over the rows.
 TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
   const auto [metric, dims] = GetParam();
   Rng rng(0xbeef + dims);
@@ -163,9 +160,9 @@ TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
     FilterTileAndEmit(tile_kernel, query_id, query, tile, canonical,
                       tile_sink, tile_stats);
 
-    const size_t emitted = FilterColumnRunAndEmit(
-        run_kernel, query_id, query, cols.data(), n, cand_ids.data(), n,
-        canonical, run_sink, run_stats);
+    const size_t emitted = FilterColumnTileAndEmit(
+        run_kernel, &query_id, query, 1, 1, cols.data(), n, cand_ids.data(),
+        n, /*triangular=*/false, canonical, run_sink, run_stats);
 
     EXPECT_EQ(emitted, tile_sink.pairs().size());
     EXPECT_EQ(tile_sink.pairs(), run_sink.pairs());
@@ -326,6 +323,120 @@ TEST_P(ColumnKernelDifferentialTest, MatchesScalarReference) {
       }
     }
     if (path != KernelPath::kScalar) rescued += kernel.scalar_fallbacks();
+  }
+  EXPECT_GT(rescued, 0u) << "no candidate reached the rescue band";
+}
+
+/// The register-tiled entry point must decide every (row, candidate) lane
+/// exactly like the scalar reference and produce, row for row, the mask
+/// and the rescue count of one-row FilterWithinEpsilonColumns calls: tiles
+/// of 1..kTileRows rows read from a wider dims-major query block, against
+/// runs of 1..64 candidates at offsets inside a wider candidate block.
+/// Candidate r is planted around query r % kTileRows — on the epsilon
+/// boundary, one ulp either side of it, or within 1% of it — so every row
+/// of a tile sees its own boundary cases.  Both blocks are allocations of
+/// exactly rows * dims floats, so a sanitizer build flags any read past a
+/// tile or a run.
+TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
+  const auto [metric, dims] = GetParam();
+  constexpr size_t kTile = BatchDistanceKernel::kTileRows;
+  constexpr size_t kQueryRows = kTile + 3;
+  constexpr size_t kRows = 70;
+  const double eps = 0.25;
+  Rng rng(0x711e + dims * 5 + static_cast<size_t>(metric));
+  DistanceKernel reference(metric);
+
+  std::vector<std::vector<float>> queries(kQueryRows, std::vector<float>(dims));
+  for (size_t k = 0; k < dims; ++k) {
+    const double base = 0.3 + 0.4 * rng.Uniform();
+    for (size_t j = 0; j < kQueryRows; ++j) {
+      queries[j][k] = static_cast<float>(base + 0.02 * rng.Uniform());
+    }
+  }
+  std::vector<std::vector<float>> rows(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    const std::vector<float>& query = queries[r % kTile];
+    std::vector<float>& row = rows[r];
+    row = query;
+    if (r % 3 == 0) {
+      const size_t axis = rng.UniformInt(dims);
+      float c = static_cast<float>(query[axis] + eps);
+      if (r % 9 == 3) c = std::nextafter(c, 2.0f);
+      if (r % 9 == 6) c = std::nextafter(c, 0.0f);
+      row[axis] = c;
+      continue;
+    }
+    std::vector<double> dir(dims);
+    double norm = 0.0;
+    for (size_t k = 0; k < dims; ++k) {
+      dir[k] = rng.Uniform() - 0.5;
+      const double a = std::fabs(dir[k]);
+      norm = metric == Metric::kL1   ? norm + a
+             : metric == Metric::kL2 ? norm + a * a
+                                     : std::max(norm, a);
+    }
+    if (metric == Metric::kL2) norm = std::sqrt(norm);
+    const double scale = eps * (0.99 + 0.02 * rng.Uniform()) / norm;
+    for (size_t k = 0; k < dims; ++k) {
+      row[k] = static_cast<float>(query[k] + dir[k] * scale);
+    }
+  }
+  std::vector<float> query_cols(kQueryRows * dims);
+  for (size_t j = 0; j < kQueryRows; ++j) {
+    for (size_t k = 0; k < dims; ++k) {
+      query_cols[k * kQueryRows + j] = queries[j][k];
+    }
+  }
+  std::vector<float> cols(kRows * dims);
+  for (size_t r = 0; r < kRows; ++r) {
+    for (size_t k = 0; k < dims; ++k) cols[k * kRows + r] = rows[r][k];
+  }
+
+  size_t rescued = 0;
+  for (const KernelPath path : {KernelPath::kScalar, KernelPath::kPortable,
+                                KernelPath::kAvx2, KernelPath::kAvx512}) {
+    BatchDistanceKernel tiled(metric, dims, eps, path);
+    BatchDistanceKernel single(metric, dims, eps, path);
+    uint64_t tiles = 0;
+    for (size_t count = 1; count <= BatchDistanceKernel::kColumnRunCapacity;
+         ++count) {
+      for (const size_t offset : {size_t{0}, size_t{3}, kRows - count}) {
+        for (size_t n = 1; n <= kTile; ++n) {
+          const size_t first = n % 2 == 0 ? 0 : kQueryRows - n;
+          uint64_t masks[kTile];
+          tiled.FilterTileColumns(query_cols.data() + first, kQueryRows, n,
+                                  cols.data() + offset, kRows, count, masks);
+          ++tiles;
+          for (size_t j = 0; j < n; ++j) {
+            const std::vector<float>& query = queries[first + j];
+            if (count < 64) {
+              ASSERT_EQ(0u, masks[j] >> count) << "bits set past the run";
+            }
+            EXPECT_EQ(single.FilterWithinEpsilonColumns(
+                          query.data(), cols.data() + offset, kRows, count),
+                      masks[j])
+                << "path=" << static_cast<int>(path) << " rows=" << n
+                << " row=" << j << " count=" << count;
+            for (size_t i = 0; i < count; ++i) {
+              const bool expected = reference.WithinEpsilon(
+                  query.data(), rows[offset + i].data(), dims, eps);
+              ASSERT_EQ(expected, ((masks[j] >> i) & 1) != 0)
+                  << "path=" << static_cast<int>(path)
+                  << " metric=" << MetricName(metric) << " dims=" << dims
+                  << " rows=" << n << " row=" << j << " count=" << count
+                  << " offset=" << offset << " candidate=" << i;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(single.scalar_fallbacks(), tiled.scalar_fallbacks());
+    if (path == KernelPath::kScalar) {
+      EXPECT_EQ(0u, tiled.simd_batches());
+    } else {
+      EXPECT_EQ(tiles, tiled.simd_batches()) << "one batch per tile";
+      rescued += tiled.scalar_fallbacks();
+    }
   }
   EXPECT_GT(rescued, 0u) << "no candidate reached the rescue band";
 }

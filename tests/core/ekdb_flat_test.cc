@@ -25,6 +25,8 @@ namespace {
 
 using testing_util::ExpectSamePairs;
 using testing_util::MakeDataset;
+using testing_util::OracleJoin;
+using testing_util::OracleSelfJoin;
 
 EkdbConfig Config(double epsilon, size_t leaf_threshold = 16,
                   Metric metric = Metric::kL2) {
@@ -244,6 +246,121 @@ TEST(FlatEkdbJoinTest, AblationFlagsStillMatchPointerTree) {
                       (std::string("ablation bbox=") + (bbox ? "1" : "0") +
                        " window=" + (window ? "1" : "0"))
                           .c_str());
+    }
+  }
+}
+
+/// Leaves wider than one 64-candidate column run take the tile join's
+/// windowed path: a leaf_threshold above 64, or a duplicate group too big
+/// to split.  With the sliding window on or off, at the build epsilon and
+/// at an override, the pair set equals the brute-force oracle, and the
+/// pair sequence does not depend on the window.  At the build epsilon the
+/// parallel join repeats the sequence and the JoinStats at 1/2/4 threads.
+TEST(FlatEkdbJoinTest, WideLeavesMatchOracleAndParallel) {
+  constexpr double kEps = 0.08;
+  auto with_duplicates = [](uint64_t seed, size_t copies) {
+    auto base = GenerateClustered(
+        {.n = 1200, .dims = 5, .clusters = 6, .sigma = 0.04, .seed = seed});
+    EXPECT_TRUE(base.ok());
+    std::vector<float> flat = base->flat();
+    const std::vector<float> dup(base->Row(0), base->Row(0) + base->dims());
+    for (size_t c = 0; c < copies; ++c) {
+      flat.insert(flat.end(), dup.begin(), dup.end());
+    }
+    auto out = Dataset::FromFlat(std::move(flat), base->dims());
+    EXPECT_TRUE(out.ok());
+    return std::move(out).value();
+  };
+  // 600 copies make windows of more than eight runs.
+  const Dataset a = with_duplicates(41, 600);
+  const Dataset b = with_duplicates(42, 90);
+
+  auto widest_leaf = [](const FlatEkdbTree& flat) {
+    uint32_t widest = 0;
+    for (uint32_t n = 0; n < flat.num_nodes(); ++n) {
+      if (flat.node(n).is_leaf()) {
+        widest = std::max(widest, flat.node(n).subtree_points());
+      }
+    }
+    return widest;
+  };
+
+  for (const size_t leaf_threshold : {size_t{200}, size_t{16}}) {
+    std::vector<IdPair> self_sequence[2][2];   // [window][override]
+    std::vector<IdPair> cross_sequence[2][2];
+    for (const bool window : {true, false}) {
+      EkdbConfig config = Config(kEps, leaf_threshold);
+      config.sliding_window_leaf_join = window;
+      auto ta = EkdbTree::Build(a, config);
+      auto tb = EkdbTree::Build(b, config);
+      ASSERT_TRUE(ta.ok() && tb.ok());
+      const FlatEkdbTree fa = Flatten(*ta);
+      const FlatEkdbTree fb = Flatten(*tb);
+      ASSERT_GT(widest_leaf(fa), BatchDistanceKernel::kColumnRunCapacity);
+      ASSERT_GT(widest_leaf(fb), BatchDistanceKernel::kColumnRunCapacity);
+
+      for (const bool override_eps : {false, true}) {
+        const double eps = override_eps ? 0.6 * kEps : kEps;
+        const std::string label = "leaf_threshold=" +
+                                  std::to_string(leaf_threshold) +
+                                  " window=" + (window ? "1" : "0") +
+                                  " eps=" + std::to_string(eps);
+        VectorSink self_sink, cross_sink;
+        JoinStats self_stats, cross_stats;
+        if (override_eps) {
+          ASSERT_TRUE(
+              FlatEkdbSelfJoinWithEpsilon(fa, eps, &self_sink, &self_stats)
+                  .ok());
+          ASSERT_TRUE(FlatEkdbJoinWithEpsilon(fa, fb, eps, &cross_sink,
+                                              &cross_stats)
+                          .ok());
+        } else {
+          ASSERT_TRUE(FlatEkdbSelfJoin(fa, &self_sink, &self_stats).ok());
+          ASSERT_TRUE(FlatEkdbJoin(fa, fb, &cross_sink, &cross_stats).ok());
+        }
+        ExpectSamePairs(OracleSelfJoin(a, eps, Metric::kL2),
+                        self_sink.Sorted(), ("self " + label).c_str());
+        ExpectSamePairs(OracleJoin(a, b, eps, Metric::kL2),
+                        cross_sink.Sorted(), ("cross " + label).c_str());
+        EXPECT_EQ(self_stats.pairs_emitted, self_sink.pairs().size());
+        self_sequence[window][override_eps] = self_sink.pairs();
+        cross_sequence[window][override_eps] = cross_sink.pairs();
+        if (override_eps) continue;
+
+        for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+          ParallelJoinConfig parallel;
+          parallel.num_threads = threads;
+          parallel.min_task_points = 100;
+          VectorSink par_self, par_cross;
+          JoinStats par_self_stats, par_cross_stats;
+          ASSERT_TRUE(ParallelFlatEkdbSelfJoin(fa, parallel, &par_self,
+                                               &par_self_stats)
+                          .ok());
+          ASSERT_TRUE(ParallelFlatEkdbJoin(fa, fb, parallel, &par_cross,
+                                           &par_cross_stats)
+                          .ok());
+          const std::string at = label + " threads=" + std::to_string(threads);
+          EXPECT_EQ(self_sink.pairs(), par_self.pairs()) << at;
+          EXPECT_EQ(cross_sink.pairs(), par_cross.pairs()) << at;
+          for (const auto& [seq, par] :
+               {std::pair{self_stats, par_self_stats},
+                std::pair{cross_stats, par_cross_stats}}) {
+            EXPECT_EQ(seq.candidate_pairs, par.candidate_pairs) << at;
+            EXPECT_EQ(seq.distance_calls, par.distance_calls) << at;
+            EXPECT_EQ(seq.node_pairs_visited, par.node_pairs_visited) << at;
+            EXPECT_EQ(seq.node_pairs_pruned, par.node_pairs_pruned) << at;
+            EXPECT_EQ(seq.pairs_emitted, par.pairs_emitted) << at;
+            EXPECT_EQ(seq.simd_batches, par.simd_batches) << at;
+            EXPECT_EQ(seq.scalar_fallbacks, par.scalar_fallbacks) << at;
+          }
+        }
+      }
+    }
+    for (const int o : {0, 1}) {
+      EXPECT_EQ(self_sequence[1][o], self_sequence[0][o])
+          << "self sequence depends on the window, override=" << o;
+      EXPECT_EQ(cross_sequence[1][o], cross_sequence[0][o])
+          << "cross sequence depends on the window, override=" << o;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "gtest/gtest.h"
+#include "service/wire_words.h"
 
 namespace simjoin {
 namespace {
@@ -461,6 +462,130 @@ TEST(ProtocolTest, FloatArrayOverflowGuard) {
   WireReader r(w.buffer());
   std::vector<float> out;
   EXPECT_FALSE(r.FloatArray(static_cast<size_t>(1) << 62, &out).ok());
+}
+
+TEST(ProtocolTest, BulkArrayOverflowGuards) {
+  // Hostile element counts fail before anything is allocated, and a count
+  // one past what the payload holds fails too.
+  WireWriter w;
+  w.U32(7);
+  w.U32(8);
+  w.U32(9);
+  WireReader r(w.buffer());
+  std::vector<uint32_t> ids;
+  EXPECT_FALSE(r.U32Array(static_cast<size_t>(1) << 62, &ids).ok());
+  EXPECT_FALSE(r.U32Array(4, &ids).ok());
+  std::vector<IdPair> pairs;
+  EXPECT_FALSE(r.U32PairArray(static_cast<size_t>(1) << 61, &pairs).ok());
+  EXPECT_FALSE(r.U32PairArray(2, &pairs).ok());
+  ASSERT_TRUE(r.U32PairArray(1, &pairs).ok());
+  EXPECT_EQ(pairs, (std::vector<IdPair>{{7, 8}}));
+  ASSERT_TRUE(r.U32Array(1, &ids).ok());
+  EXPECT_EQ(ids, std::vector<uint32_t>{9});
+  EXPECT_TRUE(r.ExpectEnd().ok());
+}
+
+// Golden bytes of a join chunk and a range answer, as written by the
+// byte-at-a-time encoders the bulk codecs replaced: the wire did not move.
+
+const std::vector<IdPair> kGoldenPairs = {
+    {0, 1}, {2, 0xdeadbeefu}, {0x01020304u, 7}};
+
+const std::vector<uint8_t> kGoldenChunk = {
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x04, 0x03, 0x02, 0x01,
+    0x07, 0x00, 0x00, 0x00};
+
+TEST(ProtocolTest, JoinChunkBytesAreGolden) {
+  EXPECT_EQ(EncodeJoinChunk(kGoldenPairs), kGoldenChunk);
+  JoinChunk chunk;
+  ASSERT_TRUE(ParseJoinChunk(kGoldenChunk, &chunk).ok());
+  EXPECT_EQ(chunk.pairs, kGoldenPairs);
+
+  const std::vector<uint8_t> golden_frame = {
+      0x50, 0x57, 0x4a, 0x53, 0x02, 0x42, 0x00, 0x00, 0x1c, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x04, 0x03, 0x02, 0x01,
+      0x07, 0x00, 0x00, 0x00};
+  constexpr uint64_t kRequest = 0x1122334455667788ull;
+  EXPECT_EQ(EncodeJoinChunkFrame(kRequest, kGoldenPairs), golden_frame);
+  EXPECT_EQ(EncodeFrame(FrameType::kJoinChunk, kRequest, 0, kGoldenChunk),
+            golden_frame);
+  // An empty chunk is a bare count.
+  EXPECT_EQ(EncodeJoinChunkFrame(kRequest, {}),
+            EncodeFrame(FrameType::kJoinChunk, kRequest, 0,
+                        EncodeJoinChunk({})));
+}
+
+TEST(ProtocolTest, RangeQueryResponseBytesAreGolden) {
+  RangeQueryResponse resp;
+  resp.results = {{1, 2, 3}, {}, {0xfffffffeu}};
+  resp.stats.candidate_pairs = 9;
+  resp.stats.distance_calls = 8;
+  resp.stats.node_pairs_visited = 7;
+  resp.stats.node_pairs_pruned = 6;
+  resp.stats.pairs_emitted = 4;
+  resp.stats.simd_batches = 3;
+  resp.stats.scalar_fallbacks = 1;
+  resp.has_planner = true;
+  resp.achieved_recall = 0.75;
+  resp.backend_used = 2;
+  resp.plan_cache_hit = true;
+  const std::vector<uint8_t> golden = {
+      0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0xfe, 0xff, 0xff, 0xff, 0x09, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0xe8, 0x3f, 0x02, 0x01};
+  EXPECT_EQ(EncodeRangeQueryResponse(resp), golden);
+  RangeQueryResponse parsed;
+  ASSERT_TRUE(ParseRangeQueryResponse(golden, &parsed).ok());
+  EXPECT_EQ(parsed.results, resp.results);
+  EXPECT_EQ(parsed.stats.scalar_fallbacks, 1u);
+  EXPECT_EQ(parsed.achieved_recall, 0.75);
+}
+
+/// The byte-loop word codecs, which big-endian hosts run, write the same
+/// bytes as the memcpy form and read them back, on any host.
+TEST(ProtocolTest, ByteLoopWordCodecsMatchGoldenBytes) {
+  // The chunk body after its count.
+  const std::span<const uint8_t> golden_pairs =
+      std::span<const uint8_t>(kGoldenChunk).subspan(4);
+  std::vector<uint8_t> bytes(golden_pairs.size());
+  wire_words::PutIdPairs<false>(kGoldenPairs, bytes.data());
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), golden_pairs.begin()));
+  std::vector<IdPair> pairs(kGoldenPairs.size());
+  wire_words::GetIdPairs<false>(golden_pairs.data(), std::span<IdPair>(pairs));
+  EXPECT_EQ(pairs, kGoldenPairs);
+
+  const std::vector<uint32_t> ids = {1, 0x01020304u, 0xfffffffeu, 0};
+  std::vector<uint8_t> by_loop(ids.size() * 4);
+  std::vector<uint8_t> by_copy(ids.size() * 4);
+  wire_words::PutWords<false>(std::span<const uint32_t>(ids), by_loop.data());
+  wire_words::PutWords<wire_words::kNativeMemcpy>(
+      std::span<const uint32_t>(ids), by_copy.data());
+  EXPECT_EQ(by_loop, by_copy);
+  EXPECT_EQ(by_loop[4], 0x04);  // little-endian on the wire
+  std::vector<uint32_t> back(ids.size());
+  wire_words::GetWords<false>(by_loop.data(), std::span<uint32_t>(back));
+  EXPECT_EQ(back, ids);
+
+  const std::vector<float> floats = {0.5f, -1.25f, 3.0e-38f};
+  std::vector<uint8_t> float_bytes(floats.size() * 4);
+  wire_words::PutWords<false>(std::span<const float>(floats),
+                              float_bytes.data());
+  WireWriter w;
+  w.FloatArray(floats);
+  EXPECT_EQ(float_bytes, w.buffer());
+  std::vector<float> floats_back(floats.size());
+  wire_words::GetWords<false>(float_bytes.data(),
+                              std::span<float>(floats_back));
+  EXPECT_EQ(floats_back, floats);
 }
 
 // ---------------------------------------------------------------------------
