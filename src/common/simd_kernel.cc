@@ -127,23 +127,6 @@ inline uint64_t LowBits(size_t n) {
   return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
 }
 
-/// How every column tier reports a run scored against one contiguous query
-/// row: bit i of *below is set iff candidate i's float score is <=
-/// threshold, bit i of *band iff that score lies inside the rescue band
-/// (the same band test the row tiers make).
-using ColumnScoreFn = void (*)(const float* q, const float* cols,
-                               size_t stride, size_t count, size_t dims,
-                               float threshold, float margin, uint64_t* below,
-                               uint64_t* band);
-
-/// The same report for a tile of `rows` dims-major query rows (row j's
-/// coordinate k at q[k * q_stride + j]): below[j] and band[j] per row.
-/// below and band hold kTileRows entries each.
-using TileScoreFn = void (*)(const float* q, size_t q_stride, size_t rows,
-                             const float* cols, size_t stride, size_t count,
-                             size_t dims, float threshold, float margin,
-                             uint64_t* below, uint64_t* band);
-
 template <Metric M>
 inline float PortableStep(float acc, float diff) {
   if constexpr (M == Metric::kL2) {
@@ -184,14 +167,6 @@ inline void ScoreColumnRowPortable(const float* q, size_t q_stride,
   }
   *below = lo;
   *band = bd;
-}
-
-template <Metric M>
-void ScoreColumnsPortable(const float* q, const float* cols, size_t stride,
-                          size_t count, size_t dims, float threshold,
-                          float margin, uint64_t* below, uint64_t* band) {
-  ScoreColumnRowPortable<M>(q, 1, cols, stride, count, dims, threshold,
-                            margin, below, band);
 }
 
 /// This tier keeps no register tile: it scores the rows one at a time.
@@ -541,27 +516,6 @@ __attribute__((target("avx2,fma"))) void ColumnBlockAvx2(
 }
 
 template <Metric M>
-__attribute__((target("avx2,fma"))) void ScoreColumnsAvx2(
-    const float* q, const float* cols, size_t stride, size_t count,
-    size_t dims, float threshold, float margin, uint64_t* below,
-    uint64_t* band) {
-  constexpr size_t kBlock = 32;  // 4 vectors of 8 lanes
-  *below = 0;
-  *band = 0;
-  for (size_t lo = 0; lo < count; lo += kBlock) {
-    const size_t n = std::min(kBlock, count - lo);
-    const size_t nv = (n + 7) / 8;
-    const size_t tail = n - 8 * (nv - 1);
-    uint64_t b = 0;
-    uint64_t r = 0;
-    ColumnBlockAvx2<M, 1>(q, 1, cols + lo, stride, dims, nv, tail, threshold,
-                          margin, &b, &r);
-    *below |= b << lo;
-    *band |= r << lo;
-  }
-}
-
-template <Metric M>
 __attribute__((target("avx2,fma"))) void ScoreTileAvx2(
     const float* q, size_t q_stride, size_t rows, const float* cols,
     size_t stride, size_t count, size_t dims, float threshold, float margin,
@@ -797,17 +751,6 @@ __attribute__((target("avx512f,avx2,fma"))) void ColumnBlockAvx512(
 }
 
 template <Metric M>
-__attribute__((target("avx512f,avx2,fma"))) void ScoreColumnsAvx512(
-    const float* q, const float* cols, size_t stride, size_t count,
-    size_t dims, float threshold, float margin, uint64_t* below,
-    uint64_t* band) {
-  const size_t nv = (count + 15) / 16;  // count <= 64, so nv <= 4
-  const size_t tail = count - 16 * (nv - 1);
-  ColumnBlockAvx512<M, 1>(q, 1, cols, stride, dims, nv, tail, threshold,
-                          margin, below, band);
-}
-
-template <Metric M>
 __attribute__((target("avx512f,avx2,fma"))) void ScoreTileAvx512(
     const float* q, size_t q_stride, size_t rows, const float* cols,
     size_t stride, size_t count, size_t dims, float threshold, float margin,
@@ -899,40 +842,33 @@ KernelPath ResolvePath(KernelPath preferred) {
   return preferred;
 }
 
-/// The one-row and tile scorers of one tier; both null on the scalar path.
-struct ColumnScorers {
-  ColumnScoreFn row = nullptr;
-  TileScoreFn tile = nullptr;
-};
-
+/// The tile scorer of one vector tier (the scalar tier has none).
 template <Metric M>
-ColumnScorers ColumnScorersForMetric(KernelPath path) {
+auto TileScorerForMetric(KernelPath path) {
   switch (path) {
-    case KernelPath::kScalar:
-      return {};
 #if SIMJOIN_HAVE_AVX512_PATH
     case KernelPath::kAvx512:
-      return {&ScoreColumnsAvx512<M>, &ScoreTileAvx512<M>};
+      return &ScoreTileAvx512<M>;
 #endif
 #if SIMJOIN_HAVE_AVX2_PATH
     case KernelPath::kAvx2:
-      return {&ScoreColumnsAvx2<M>, &ScoreTileAvx2<M>};
+      return &ScoreTileAvx2<M>;
 #endif
     default:
-      return {&ScoreColumnsPortable<M>, &ScoreTilePortable<M>};
+      return &ScoreTilePortable<M>;
   }
 }
 
-ColumnScorers ColumnScorersFor(KernelPath path, Metric metric) {
+auto VectorTileScorerFor(KernelPath path, Metric metric) {
   switch (metric) {
     case Metric::kL1:
-      return ColumnScorersForMetric<Metric::kL1>(path);
+      return TileScorerForMetric<Metric::kL1>(path);
     case Metric::kL2:
-      return ColumnScorersForMetric<Metric::kL2>(path);
+      return TileScorerForMetric<Metric::kL2>(path);
     case Metric::kLinf:
-      return ColumnScorersForMetric<Metric::kLinf>(path);
+      break;
   }
-  return {};
+  return TileScorerForMetric<Metric::kLinf>(path);
 }
 
 }  // namespace
@@ -943,10 +879,10 @@ BatchDistanceKernel::BatchDistanceKernel(Metric metric, size_t dims, double eps,
       dims_(dims),
       eps_(eps),
       margin_(RescueMargin(dims)),
-      path_(ResolvePath(preferred)) {
-  const ColumnScorers scorers = ColumnScorersFor(path_, metric);
-  column_scorer_ = scorers.row;
-  tile_scorer_ = scorers.tile;
+      path_(ResolvePath(preferred)),
+      tile_scorer_(path_ == KernelPath::kScalar
+                       ? nullptr
+                       : VectorTileScorerFor(path_, metric)) {
   SetEpsilon(eps);
 }
 
@@ -1128,31 +1064,6 @@ size_t BatchDistanceKernel::FilterWithinEpsilonStrided(
   return FilterDispatch(query, StridedRows{base, stride}, count, out_mask);
 }
 
-uint64_t BatchDistanceKernel::FilterWithinEpsilonColumns(const float* query,
-                                                         const float* cols,
-                                                         size_t col_stride,
-                                                         size_t count) {
-  if (count == 0) return 0;
-  uint64_t in = 0;
-  if (column_scorer_ == nullptr) {
-    for (size_t i = 0; i < count; ++i) {
-      if (RescueColumn(query, cols, col_stride, i)) in |= uint64_t{1} << i;
-    }
-    return in;
-  }
-  ++simd_batches_;
-  uint64_t below = 0;
-  uint64_t band = 0;
-  column_scorer_(query, cols, col_stride, count, dims_, threshold_, margin_,
-                 &below, &band);
-  in = below & ~band;
-  for (; band != 0; band &= band - 1) {
-    const auto i = static_cast<size_t>(std::countr_zero(band));
-    if (RescueColumn(query, cols, col_stride, i)) in |= uint64_t{1} << i;
-  }
-  return in;
-}
-
 void BatchDistanceKernel::FilterTileColumns(const float* query_cols,
                                             size_t query_stride, size_t rows,
                                             const float* cols,
@@ -1162,8 +1073,10 @@ void BatchDistanceKernel::FilterTileColumns(const float* query_cols,
     std::fill(out_masks, out_masks + rows, uint64_t{0});
     return;
   }
-  // Row j as a contiguous query, gathered from its column for rescues.
+  // Row j as a contiguous query for rescues: a one-row tile (stride 1) is
+  // one already, a wider tile's row is gathered from its columns.
   auto query_row = [&](size_t j) -> const float* {
+    if (query_stride == 1) return query_cols + j;
     gathered_query_.resize(dims_);
     for (size_t k = 0; k < dims_; ++k) {
       gathered_query_[k] = query_cols[k * query_stride + j];
@@ -1228,6 +1141,7 @@ size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
 }
 
 size_t FilterColumnTileAndEmit(BatchDistanceKernel& kernel,
+                               std::vector<uint64_t>& run_masks,
                                const PointId* query_ids,
                                const float* query_cols, size_t query_stride,
                                size_t rows, const float* cols,
@@ -1237,19 +1151,12 @@ size_t FilterColumnTileAndEmit(BatchDistanceKernel& kernel,
                                JoinStats& stats) {
   constexpr size_t kRun = BatchDistanceKernel::kColumnRunCapacity;
   constexpr size_t kRows = BatchDistanceKernel::kTileRows;
-  // Masks of every run, so each row can be emitted across all runs before
-  // the next row.  Windows over leaves wider than kStackRuns runs (large
-  // duplicate groups) spill to the heap.
-  constexpr size_t kStackRuns = 8;
   if (count == 0) return 0;
+  // Masks of every run, so each row can be emitted across all runs before
+  // the next row.
   const size_t runs = (count + kRun - 1) / kRun;
-  uint64_t stack_masks[kStackRuns * kRows];
-  std::vector<uint64_t> heap_masks;
-  uint64_t* masks = stack_masks;
-  if (runs > kStackRuns) {
-    heap_masks.resize(runs * kRows);
-    masks = heap_masks.data();
-  }
+  if (run_masks.size() < runs * kRows) run_masks.resize(runs * kRows);
+  uint64_t* masks = run_masks.data();
   stats.candidate_pairs += rows * count;
   stats.distance_calls += rows * count;
   for (size_t r = 0; r < runs; ++r) {

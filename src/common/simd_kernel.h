@@ -92,10 +92,15 @@ class BatchDistanceKernel {
   /// dist(query, candidate i) <= eps — bit-identical to the scalar
   /// WithinEpsilon per candidate.  Each column is read only at
   /// [k * col_stride, k * col_stride + count): vector tails use masked
-  /// loads, so a run may end exactly at the end of a mapping.  The vector
-  /// tiers run the one-row instance of FilterTileColumns' tile code.
+  /// loads, so a run may end exactly at the end of a mapping.  This is the
+  /// one-row tile of FilterTileColumns: a contiguous query is a dims-major
+  /// row at stride 1.
   uint64_t FilterWithinEpsilonColumns(const float* query, const float* cols,
-                                      size_t col_stride, size_t count);
+                                      size_t col_stride, size_t count) {
+    uint64_t in = 0;
+    FilterTileColumns(query, 1, 1, cols, col_stride, count, &in);
+    return in;
+  }
 
   /// Register-tiled column filter: `rows` (1..kTileRows) query rows, also
   /// dims-major — coordinate k of query row j is
@@ -163,14 +168,11 @@ class BatchDistanceKernel {
   bool RescueColumn(const float* query, const float* cols, size_t col_stride,
                     size_t i);
 
-  /// Scores a column run (count <= kColumnRunCapacity) in float and reports
-  /// two lane masks: score <= threshold, and score inside the rescue band.
-  using ColumnScorer = void (*)(const float* query, const float* cols,
-                                size_t col_stride, size_t count, size_t dims,
-                                float threshold, float margin,
-                                uint64_t* below, uint64_t* band);
-  /// The same for a tile of `rows` query rows: two masks per row, in
-  /// arrays of kTileRows entries.
+  /// One tier's float scoring of a register tile: `rows` dims-major query
+  /// rows against a column run (count <= kColumnRunCapacity).  Bit i of
+  /// below[j] is set iff candidate i's score against row j is <= threshold,
+  /// bit i of band[j] iff that score lies inside the rescue band; both
+  /// arrays hold kTileRows entries.
   using TileScorer = void (*)(const float* query_cols, size_t query_stride,
                               size_t rows, const float* cols,
                               size_t col_stride, size_t count, size_t dims,
@@ -183,8 +185,7 @@ class BatchDistanceKernel {
   float threshold_;  ///< eps in float space (eps^2 for L2)
   float margin_;     ///< half-width of the rescue band around threshold_
   KernelPath path_;
-  ColumnScorer column_scorer_ = nullptr;  ///< null on the scalar path
-  TileScorer tile_scorer_ = nullptr;      ///< null on the scalar path
+  TileScorer tile_scorer_ = nullptr;  ///< null on the scalar path
   std::vector<float> gathered_row_;  ///< RescueColumn scratch, grown lazily
   std::vector<float> gathered_query_;  ///< tile-row rescue scratch
   uint64_t simd_batches_ = 0;
@@ -239,10 +240,13 @@ size_t FilterTileAndEmit(BatchDistanceKernel& kernel, PointId query_id,
 /// i >= j: the tile is rows r..r+rows-1 of a leaf and the run starts at
 /// row r+1, so each row skips itself and the rows before it.  Counters are
 /// updated like FilterTileAndEmit's, with every scored (row, candidate)
-/// lane counted.  This is the flat-tree join's hot path: a leaf block's
+/// lane counted.  run_masks holds the runs' masks between scoring and
+/// emitting; it only grows, so a caller that keeps it across calls
+/// allocates once.  This is the flat-tree join's hot path: a leaf block's
 /// rows are a tile, and a window over the other leaf is one contiguous run
 /// of each of its columns.  Returns the number of pairs emitted.
 size_t FilterColumnTileAndEmit(BatchDistanceKernel& kernel,
+                               std::vector<uint64_t>& run_masks,
                                const PointId* query_ids,
                                const float* query_cols, size_t query_stride,
                                size_t rows, const float* cols,

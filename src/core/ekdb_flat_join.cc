@@ -66,10 +66,10 @@ void FlatEkdbJoinContext::LeafSelfJoin(const FlatEkdbNode& leaf) {
           epsilon_);
     }
     if (end <= i + 1) continue;
-    FilterColumnTileAndEmit(batch_, ids + i, cols + i, size, rows,
-                            cols + i + 1, size, ids + i + 1, end - (i + 1),
-                            /*triangular=*/true, /*canonical_order=*/true,
-                            buffered_, stats_);
+    FilterColumnTileAndEmit(batch_, run_masks_, ids + i, cols + i, size,
+                            rows, cols + i + 1, size, ids + i + 1,
+                            end - (i + 1), /*triangular=*/true,
+                            /*canonical_order=*/true, buffered_, stats_);
   }
 }
 
@@ -86,10 +86,10 @@ void FlatEkdbJoinContext::LeafCrossJoin(const FlatEkdbNode& a,
   const PointId* b_ids = b_tree_.arena_ids_data() + b.arena_begin;
   if (!sliding_window_ || b_size <= BatchDistanceKernel::kColumnRunCapacity) {
     for (uint32_t i = 0; i < a_size; i += kRows) {
-      FilterColumnTileAndEmit(batch_, a_ids + i, a_cols + i, a_size,
-                              std::min(kRows, a_size - i), b_cols, b_size,
-                              b_ids, b_size, /*triangular=*/false, self_mode_,
-                              buffered_, stats_);
+      FilterColumnTileAndEmit(batch_, run_masks_, a_ids + i, a_cols + i,
+                              a_size, std::min(kRows, a_size - i), b_cols,
+                              b_size, b_ids, b_size, /*triangular=*/false,
+                              self_mode_, buffered_, stats_);
     }
     return;
   }
@@ -117,8 +117,8 @@ void FlatEkdbJoinContext::LeafCrossJoin(const FlatEkdbNode& a,
     const uint32_t we = flat_internal::UpperBoundRow(
         b_key, wb, b_size, static_cast<double>(key_hi) + epsilon_);
     if (we <= wb) continue;
-    FilterColumnTileAndEmit(batch_, a_ids + i, a_cols + i, a_size, rows,
-                            b_cols + wb, b_size, b_ids + wb, we - wb,
+    FilterColumnTileAndEmit(batch_, run_masks_, a_ids + i, a_cols + i, a_size,
+                            rows, b_cols + wb, b_size, b_ids + wb, we - wb,
                             /*triangular=*/false, self_mode_, buffered_,
                             stats_);
   }

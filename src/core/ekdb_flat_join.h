@@ -15,6 +15,9 @@
 #ifndef SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
 #define SIMJOIN_CORE_EKDB_FLAT_JOIN_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/pair_sink.h"
 #include "common/simd_kernel.h"
 #include "common/status.h"
@@ -95,6 +98,7 @@ class FlatEkdbJoinContext {
   bool sliding_window_;
   bool self_mode_;
   BatchDistanceKernel batch_;
+  std::vector<uint64_t> run_masks_;  ///< FilterColumnTileAndEmit scratch
   BufferedSink buffered_;
   JoinStats stats_;
 };

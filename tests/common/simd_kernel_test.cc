@@ -160,9 +160,11 @@ TEST_P(BatchKernelDifferentialTest, StridedRunEmitsSamePairsAsTiles) {
     FilterTileAndEmit(tile_kernel, query_id, query, tile, canonical,
                       tile_sink, tile_stats);
 
+    std::vector<uint64_t> run_masks;
     const size_t emitted = FilterColumnTileAndEmit(
-        run_kernel, &query_id, query, 1, 1, cols.data(), n, cand_ids.data(),
-        n, /*triangular=*/false, canonical, run_sink, run_stats);
+        run_kernel, run_masks, &query_id, query, 1, 1, cols.data(), n,
+        cand_ids.data(), n, /*triangular=*/false, canonical, run_sink,
+        run_stats);
 
     EXPECT_EQ(emitted, tile_sink.pairs().size());
     EXPECT_EQ(tile_sink.pairs(), run_sink.pairs());
@@ -332,9 +334,10 @@ TEST_P(ColumnKernelDifferentialTest, MatchesScalarReference) {
 /// and the rescue count of one-row FilterWithinEpsilonColumns calls: tiles
 /// of 1..kTileRows rows read from a wider dims-major query block, against
 /// runs of 1..64 candidates at offsets inside a wider candidate block.
-/// Candidate r is planted around query r % kTileRows — on the epsilon
-/// boundary, one ulp either side of it, or within 1% of it — so every row
-/// of a tile sees its own boundary cases.  Both blocks are allocations of
+/// Candidate r is planted around query r % kQueryRows — on the epsilon
+/// boundary, one ulp either side of it, or within 1% of it — so every
+/// query row, and with it every row of every tile size, sees its own
+/// boundary cases.  Both blocks are allocations of
 /// exactly rows * dims floats, so a sanitizer build flags any read past a
 /// tile or a run.
 TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
@@ -355,7 +358,7 @@ TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
   }
   std::vector<std::vector<float>> rows(kRows);
   for (size_t r = 0; r < kRows; ++r) {
-    const std::vector<float>& query = queries[r % kTile];
+    const std::vector<float>& query = queries[r % kQueryRows];
     std::vector<float>& row = rows[r];
     row = query;
     if (r % 3 == 0) {
@@ -392,7 +395,8 @@ TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
     for (size_t k = 0; k < dims; ++k) cols[k * kRows + r] = rows[r][k];
   }
 
-  size_t rescued = 0;
+  // Vector-tier rescues per tile size: each size must reach the band.
+  uint64_t rescued[kTile + 1] = {};
   for (const KernelPath path : {KernelPath::kScalar, KernelPath::kPortable,
                                 KernelPath::kAvx2, KernelPath::kAvx512}) {
     BatchDistanceKernel tiled(metric, dims, eps, path);
@@ -404,9 +408,13 @@ TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
         for (size_t n = 1; n <= kTile; ++n) {
           const size_t first = n % 2 == 0 ? 0 : kQueryRows - n;
           uint64_t masks[kTile];
+          const uint64_t fallbacks = tiled.scalar_fallbacks();
           tiled.FilterTileColumns(query_cols.data() + first, kQueryRows, n,
                                   cols.data() + offset, kRows, count, masks);
           ++tiles;
+          if (path != KernelPath::kScalar) {
+            rescued[n] += tiled.scalar_fallbacks() - fallbacks;
+          }
           for (size_t j = 0; j < n; ++j) {
             const std::vector<float>& query = queries[first + j];
             if (count < 64) {
@@ -435,10 +443,12 @@ TEST_P(ColumnKernelDifferentialTest, TileMatchesScalarAndSingleRows) {
       EXPECT_EQ(0u, tiled.simd_batches());
     } else {
       EXPECT_EQ(tiles, tiled.simd_batches()) << "one batch per tile";
-      rescued += tiled.scalar_fallbacks();
     }
   }
-  EXPECT_GT(rescued, 0u) << "no candidate reached the rescue band";
+  for (size_t n = 1; n <= kTile; ++n) {
+    EXPECT_GT(rescued[n], 0u)
+        << "no lane of a " << n << "-row tile reached the rescue band";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, ColumnKernelDifferentialTest,
